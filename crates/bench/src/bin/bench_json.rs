@@ -23,8 +23,9 @@
 //! of exactly zero on the re-scan; `warehouse/content_sorted_limit`
 //! orders by a content key (`TotalDwell`) from the segment-v3 sort
 //! columns and must decode no more rows than it returns (it used to
-//! decode every candidate); `serve/stats_rollup` times the Stats op's
-//! rollup-served per-cell/per-period breakdowns over the wire. The
+//! decode every candidate); `serve/stats_rollup` times the Rollup op's
+//! per-cell/per-period breakdowns over the wire (`serve/stats` is the
+//! counters-only Stats op). The
 //! cold-open group now also asserts `store.lazy_opens` is non-zero —
 //! BENCH_8 reported 0 because the served workload builds its segments
 //! in-process (flushes pre-cache their runs), not because the counter
@@ -601,26 +602,18 @@ fn main() {
             "serve/stats".into(),
             time_ns(49, || client.server_stats().expect("stats").events),
         ));
-        // The rollup-served Stats breakdowns: per-cell and per-period
-        // totals merged from the segments' header-frame rollups and a
+        // The Rollup op's breakdowns: per-cell and per-period totals
+        // merged from the segments' header-frame rollups and a
         // live-tier fold — a full round trip that decodes nothing.
-        let (_, rollup) = client
-            .server_stats_with_rollup()
-            .expect("stats rollup probe");
+        // (`serve/stats` above is the counters-only monitor poll.)
+        let rollup = client.rollup().expect("rollup probe");
         assert!(
             !rollup.cells.is_empty(),
             "the loaded warehouse serves per-cell rollups"
         );
         results.push((
             "serve/stats_rollup".into(),
-            time_ns(49, || {
-                client
-                    .server_stats_with_rollup()
-                    .expect("stats rollup")
-                    .1
-                    .cells
-                    .len()
-            }),
+            time_ns(49, || client.rollup().expect("rollup").cells.len()),
         ));
         // The liveness poll a monitor runs every second: one Health
         // round trip — the report is assembled under a brief core lock

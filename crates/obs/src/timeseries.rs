@@ -197,15 +197,18 @@ impl SeriesRing {
         Some((frames.front()?.clone(), frames.back()?.clone()))
     }
 
-    /// The two most recent frames — the freshest single-period window.
-    /// `None` until two frames exist.
-    pub fn last_pair(&self) -> Option<(SeriesFrame, SeriesFrame)> {
+    /// [`rate_per_sec`] of `counter` over the two most recent frames —
+    /// the freshest single-period window — read under the ring lock. No
+    /// frame is cloned, so a liveness poll pays for one counter lookup
+    /// per frame, not two registry copies. `None` until two frames exist (or when either lacks the
+    /// counter).
+    pub fn last_rate(&self, counter: &str) -> Option<f64> {
         let frames = self.lock();
         let n = frames.len();
         if n < 2 {
             return None;
         }
-        Some((frames[n - 2].clone(), frames[n - 1].clone()))
+        rate_per_sec(&frames[n - 2], &frames[n - 1], counter)
     }
 }
 
@@ -611,15 +614,16 @@ mod tests {
         let ring = SeriesRing::new(3);
         assert!(ring.is_empty());
         assert!(ring.window().is_none());
-        assert!(ring.last_pair().is_none());
+        assert!(ring.last_rate("engine.events_ingested").is_none());
         for i in 0..5 {
             ring.push(frame(i * 1_000, i * 10, 0, &[]));
         }
         assert_eq!(ring.len(), 3);
         let (oldest, newest) = ring.window().unwrap();
         assert_eq!((oldest.at_ms, newest.at_ms), (2_000, 4_000));
-        let (a, b) = ring.last_pair().unwrap();
-        assert_eq!((a.at_ms, b.at_ms), (3_000, 4_000));
+        // 10 events over the last 1 s window, computed under the lock.
+        assert_eq!(ring.last_rate("engine.events_ingested"), Some(10.0));
+        assert_eq!(ring.last_rate("nope"), None);
         let recent = ring.recent(2);
         assert_eq!(recent.len(), 2);
         assert_eq!(recent[0].at_ms, 3_000, "oldest first");
@@ -633,9 +637,9 @@ mod tests {
         assert_eq!(sampler.ring().len(), 1, "first frame is immediate");
         registry.counter("engine.events_ingested").add(900);
         sampler.sample_now();
-        let (a, b) = sampler.ring().last_pair().expect("two frames");
-        assert_eq!(a.counter("engine.events_ingested"), Some(100));
-        assert_eq!(b.counter("engine.events_ingested"), Some(1_000));
+        let recent = sampler.ring().recent(2);
+        assert_eq!(recent[0].counter("engine.events_ingested"), Some(100));
+        assert_eq!(recent[1].counter("engine.events_ingested"), Some(1_000));
         // The background thread keeps ticking on its own.
         let before = sampler.samples();
         let deadline = std::time::Instant::now() + Duration::from_secs(5);

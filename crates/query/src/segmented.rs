@@ -78,9 +78,10 @@
 //!
 //! Per-cell and per-period aggregates ([`SegmentedDb::rollup_cells`],
 //! [`SegmentedDb::rollup_occupancy`]) merge the segments' header-frame
-//! rollups — the served `Stats` op answers per-cell and per-period
+//! rollups — the served `Rollup` op answers per-cell and per-period
 //! breakdowns from these (merged with a live-tier fold) without
-//! hydrating anything.
+//! hydrating anything. The served `Stats` op does not touch them: it is
+//! a counters-only monitor poll.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;

@@ -26,7 +26,8 @@ use sitm_query::Predicate;
 use sitm_stream::{EmittedEpisode, StreamEvent};
 
 use crate::proto::{
-    decode_response, encode_request, ExplainReport, Request, Response, ServerStats, StatsRollup,
+    decode_response, encode_op, encode_request, ExplainReport, Op, Request, Response, ServerStats,
+    StatsRollup,
 };
 use crate::wire::{read_frame, read_frame_or_idle, write_frame, write_traced_frame};
 use crate::ServeError;
@@ -93,7 +94,9 @@ impl Client {
     /// One request/response round trip (see the module docs for the
     /// retry contract).
     pub fn call(&mut self, request: &Request) -> Result<Response, ServeError> {
-        self.call_inner(request, None)
+        let mut payload = Vec::new();
+        encode_request(&mut payload, request);
+        self.call_payload(&payload, None)
     }
 
     /// Like [`Client::call`], but the request rides a traced envelope
@@ -106,17 +109,18 @@ impl Client {
         request: &Request,
         ctx: TraceContext,
     ) -> Result<Response, ServeError> {
-        self.call_inner(request, Some(ctx))
+        let mut payload = Vec::new();
+        encode_request(&mut payload, request);
+        self.call_payload(&payload, Some(ctx))
     }
 
-    fn call_inner(
+    /// One round trip for an encoded request payload.
+    fn call_payload(
         &mut self,
-        request: &Request,
+        payload: &[u8],
         ctx: Option<TraceContext>,
     ) -> Result<Response, ServeError> {
         self.stats.requests += 1;
-        let mut payload = Vec::new();
-        encode_request(&mut payload, request);
         if payload.len() > sitm_store::segment::MAX_PAYLOAD as usize {
             self.stats.oversized_refused += 1;
             return Err(ServeError::Protocol(format!(
@@ -132,8 +136,8 @@ impl Client {
             attempt += 1;
             let sent = match self.ensure_connected() {
                 Ok(stream) => match ctx {
-                    Some(ctx) => write_traced_frame(stream, ctx, &payload).map_err(ServeError::Io),
-                    None => write_frame(stream, &payload).map_err(ServeError::Io),
+                    Some(ctx) => write_traced_frame(stream, ctx, payload).map_err(ServeError::Io),
+                    None => write_frame(stream, payload).map_err(ServeError::Io),
                 },
                 Err(err) => Err(err),
             };
@@ -219,13 +223,15 @@ impl Client {
         }
     }
 
-    /// Fetches the counters together with the decode-free warehouse
-    /// breakdowns: per-cell trajectory/stay/dwell totals and per-period
-    /// occupancy, merged across every segment's rollup frame and the
-    /// live tier.
-    pub fn server_stats_with_rollup(&mut self) -> Result<(ServerStats, StatsRollup), ServeError> {
-        match self.call(&Request::Stats)? {
-            Response::Stats { stats, rollup } => Ok((stats, rollup)),
+    /// Fetches the decode-free warehouse breakdowns: per-cell
+    /// trajectory/stay/dwell totals and per-period occupancy, merged
+    /// across every segment's rollup frame and the live tier. Unlike
+    /// [`Client::server_stats`] this cuts the live snapshot server-side.
+    pub fn rollup(&mut self) -> Result<StatsRollup, ServeError> {
+        let mut payload = Vec::new();
+        encode_op(&mut payload, &Op::Rollup);
+        match self.call_payload(&payload, None)? {
+            Response::Rollup(rollup) => Ok(rollup),
             other => Err(Self::expect_error(other)),
         }
     }

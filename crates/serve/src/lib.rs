@@ -17,11 +17,12 @@
 //!   any decoding; a second marker (`0x5B`) carries an optional
 //!   16-byte trace-context prefix so one trace id follows a request
 //!   across federation hops;
-//! * [`proto`] — the request/response vocabulary ([`Request`],
-//!   [`Response`]) and its fully validated payload codec: ingest
-//!   batches of [`sitm_stream::StreamEvent`]s, warehouse and federated
-//!   queries ([`sitm_query::wire::WireQuery`]), plans, stats,
-//!   checkpoints, graceful shutdown;
+//! * [`proto`] — the request/response vocabulary ([`Request`] and the
+//!   ops added beside it in [`Op`], [`Response`]) and its fully
+//!   validated payload codec: ingest batches of
+//!   [`sitm_stream::StreamEvent`]s, warehouse and federated queries
+//!   ([`sitm_query::wire::WireQuery`]), plans, counters-only stats,
+//!   rollups, checkpoints, graceful shutdown;
 //! * [`server`] — [`Server`]: a listener thread plus a bounded
 //!   session-worker pool (the parallel engine's bounded-channel
 //!   backpressure idiom at the accept layer) around one shared
@@ -90,8 +91,9 @@ pub mod wire;
 
 pub use client::{Client, ClientStats, Notification, Subscriber};
 pub use proto::{
-    decode_episode, decode_request, decode_response, encode_episode, encode_request,
-    encode_response, ExplainReport, Request, Response, ServerStats, StatsRollup, WirePlan,
+    decode_episode, decode_op, decode_request, decode_response, encode_episode, encode_op,
+    encode_request, encode_response, ExplainReport, Op, Request, Response, ServerStats,
+    StatsRollup, WirePlan,
 };
 pub use server::{Server, ServerConfig};
 pub use wire::{

@@ -119,7 +119,8 @@ pub enum Request {
     /// Plan a predicate without executing it: per-source access paths
     /// plus the warehouse's zone-map / Bloom pruning counts.
     Explain(Predicate),
-    /// Engine counters plus warehouse shape.
+    /// Engine counters plus warehouse shape: eleven counters, no
+    /// snapshot cut, no rollup — cheap enough to poll.
     Stats,
     /// Spill the engine's finished backlog into the warehouse now
     /// (durable on response).
@@ -154,6 +155,23 @@ pub enum Request {
     },
 }
 
+/// One decoded request frame: a [`Request`] (tags 0–11) or an op added
+/// after `Request`'s variant set was fixed. New ops extend the wire
+/// here rather than `Request`, so code that matches `Request`
+/// exhaustively (a per-op name table, say) keeps compiling as the
+/// protocol grows.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Op {
+    /// A request of the core vocabulary.
+    Request(Request),
+    /// Tag 12: the decode-free per-cell / per-period breakdowns — every
+    /// segment's header-frame rollup merged with a fold over the live
+    /// snapshot. Warehouse analytics, not a liveness probe: it cuts the
+    /// live snapshot and walks every segment rollup, which is why
+    /// [`Request::Stats`] does neither.
+    Rollup,
+}
+
 const REQ_INGEST: u8 = 0;
 const REQ_QUERY: u8 = 1;
 const REQ_QUERY_FEDERATED: u8 = 2;
@@ -166,6 +184,7 @@ const REQ_SUBSCRIBE: u8 = 8;
 const REQ_UNSUBSCRIBE: u8 = 9;
 const REQ_HEALTH: u8 = 10;
 const REQ_TRACE: u8 = 11;
+const REQ_ROLLUP: u8 = 12;
 
 /// Encodes a request into a frame payload.
 pub fn encode_request(buf: &mut Vec<u8>, req: &Request) {
@@ -206,7 +225,16 @@ pub fn encode_request(buf: &mut Vec<u8>, req: &Request) {
     }
 }
 
-/// Decodes a request frame payload.
+/// Encodes any op into a frame payload.
+pub fn encode_op(buf: &mut Vec<u8>, op: &Op) {
+    match op {
+        Op::Request(request) => encode_request(buf, request),
+        Op::Rollup => buf.push(REQ_ROLLUP),
+    }
+}
+
+/// Decodes a [`Request`] frame payload. Ops outside `Request` are
+/// rejected as a bad tag; [`decode_op`] accepts every op.
 pub fn decode_request(buf: &mut &[u8]) -> Result<Request, CodecError> {
     let req = match take_tag(buf)? {
         REQ_INGEST => {
@@ -238,6 +266,20 @@ pub fn decode_request(buf: &mut &[u8]) -> Result<Request, CodecError> {
         ));
     }
     Ok(req)
+}
+
+/// Decodes any op's frame payload — what a server reads off the wire.
+pub fn decode_op(buf: &mut &[u8]) -> Result<Op, CodecError> {
+    match *buf {
+        [REQ_ROLLUP] => {
+            *buf = &[];
+            Ok(Op::Rollup)
+        }
+        [REQ_ROLLUP, ..] => Err(CodecError::InvalidTrace(
+            "trailing bytes after request".into(),
+        )),
+        _ => decode_request(buf).map(Op::Request),
+    }
 }
 
 // --- responses -------------------------------------------------------------
@@ -322,10 +364,10 @@ pub struct ServerStats {
     pub sessions_active: u64,
 }
 
-/// Decode-free warehouse breakdowns served alongside [`ServerStats`]:
+/// Decode-free warehouse breakdowns, as served by [`Op::Rollup`]:
 /// the segments' header-frame rollups merged with a live-tier fold, so
-/// per-cell and per-period totals ride the `Stats` op without the
-/// server decoding a single trajectory.
+/// per-cell and per-period totals are answered without the server
+/// decoding a single trajectory.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StatsRollup {
     /// Bucket width of the `periods` axis, in seconds.
@@ -349,12 +391,10 @@ pub enum Response {
     Trajectories(Vec<SemanticTrajectory>),
     /// The plan for an [`Request::Explain`].
     Explained(ExplainReport),
-    /// Current counters plus decode-free warehouse breakdowns.
+    /// Current engine + warehouse counters.
     Stats {
         /// Engine + warehouse counters.
         stats: ServerStats,
-        /// Rollup-served per-cell / per-period aggregates.
-        rollup: StatsRollup,
     },
     /// The finished backlog was spilled and committed.
     Checkpointed {
@@ -398,6 +438,9 @@ pub enum Response {
     /// Recent trace trees, oldest first (versioned payload, see
     /// `sitm_obs::trace`).
     Traces(Vec<TraceTree>),
+    /// The rollup-served per-cell / per-period aggregates for a
+    /// [`Op::Rollup`].
+    Rollup(StatsRollup),
 }
 
 const RESP_INGESTED: u8 = 0;
@@ -413,6 +456,7 @@ const RESP_UNSUBSCRIBED: u8 = 9;
 const RESP_NOTIFICATION: u8 = 10;
 const RESP_HEALTH: u8 = 11;
 const RESP_TRACES: u8 = 12;
+const RESP_ROLLUP: u8 = 13;
 
 /// Encodes one drained episode as pushed by a subscription.
 pub fn encode_episode(buf: &mut Vec<u8>, episode: &EmittedEpisode) {
@@ -498,7 +542,7 @@ pub fn encode_response(buf: &mut Vec<u8>, resp: &Response) {
             varint::encode_u64(buf, report.evaluate_ns);
             buf.push(report.snapshot_cached as u8);
         }
-        Response::Stats { stats: s, rollup } => {
+        Response::Stats { stats: s } => {
             buf.push(RESP_STATS);
             for n in [
                 s.events,
@@ -515,6 +559,9 @@ pub fn encode_response(buf: &mut Vec<u8>, resp: &Response) {
             ] {
                 varint::encode_u64(buf, n);
             }
+        }
+        Response::Rollup(rollup) => {
+            buf.push(RESP_ROLLUP);
             varint::encode_u64(buf, rollup.period_seconds);
             varint::encode_u64(buf, rollup.cells.len() as u64);
             for (cell, agg) in &rollup.cells {
@@ -646,6 +693,23 @@ pub fn decode_response(buf: &mut &[u8]) -> Result<Response, CodecError> {
             for slot in &mut fields {
                 *slot = varint::decode_u64(buf)?;
             }
+            Response::Stats {
+                stats: ServerStats {
+                    events: fields[0],
+                    presences: fields[1],
+                    visits_opened: fields[2],
+                    visits_closed: fields[3],
+                    episodes: fields[4],
+                    anomalies: fields[5],
+                    open_visits: fields[6],
+                    warehouse_trajectories: fields[7],
+                    warehouse_segments: fields[8],
+                    sessions_accepted: fields[9],
+                    sessions_active: fields[10],
+                },
+            }
+        }
+        RESP_ROLLUP => {
             let period_seconds = varint::decode_u64(buf)?;
             let cell_count = decode_count(buf)?;
             let mut cells: Vec<(CellRef, CellRollup)> = Vec::with_capacity(cell_count);
@@ -653,9 +717,7 @@ pub fn decode_response(buf: &mut &[u8]) -> Result<Response, CodecError> {
                 let cell = decode_cell(buf)?;
                 if let Some((last, _)) = cells.last() {
                     if *last >= cell {
-                        return Err(CodecError::InvalidTrace(
-                            "stats rollup cells out of order".into(),
-                        ));
+                        return Err(CodecError::InvalidTrace("rollup cells out of order".into()));
                     }
                 }
                 let trajectories = varint::decode_u64(buf)?;
@@ -677,32 +739,17 @@ pub fn decode_response(buf: &mut &[u8]) -> Result<Response, CodecError> {
                 if let Some((last, _)) = periods.last() {
                     if *last >= bucket {
                         return Err(CodecError::InvalidTrace(
-                            "stats rollup periods out of order".into(),
+                            "rollup periods out of order".into(),
                         ));
                     }
                 }
                 periods.push((bucket, varint::decode_u64(buf)?));
             }
-            Response::Stats {
-                stats: ServerStats {
-                    events: fields[0],
-                    presences: fields[1],
-                    visits_opened: fields[2],
-                    visits_closed: fields[3],
-                    episodes: fields[4],
-                    anomalies: fields[5],
-                    open_visits: fields[6],
-                    warehouse_trajectories: fields[7],
-                    warehouse_segments: fields[8],
-                    sessions_accepted: fields[9],
-                    sessions_active: fields[10],
-                },
-                rollup: StatsRollup {
-                    period_seconds,
-                    cells,
-                    periods,
-                },
-            }
+            Response::Rollup(StatsRollup {
+                period_seconds,
+                cells,
+                periods,
+            })
         }
         RESP_CHECKPOINTED => Response::Checkpointed {
             spilled: varint::decode_u64(buf)?,
@@ -946,33 +993,33 @@ mod tests {
                     sessions_accepted: 10,
                     sessions_active: 2,
                 },
-                rollup: StatsRollup {
-                    period_seconds: 3600,
-                    cells: vec![
-                        (
-                            cell(1),
-                            CellRollup {
-                                trajectories: 2,
-                                stays: 3,
-                                dwell_seconds: 120,
-                            },
-                        ),
-                        (
-                            cell(4),
-                            CellRollup {
-                                trajectories: 1,
-                                stays: 1,
-                                dwell_seconds: 60,
-                            },
-                        ),
-                    ],
-                    periods: vec![(-3600, 1), (0, 2), (7200, 1)],
-                },
             },
             Response::Stats {
                 stats: ServerStats::default(),
-                rollup: StatsRollup::default(),
             },
+            Response::Rollup(StatsRollup {
+                period_seconds: 3600,
+                cells: vec![
+                    (
+                        cell(1),
+                        CellRollup {
+                            trajectories: 2,
+                            stays: 3,
+                            dwell_seconds: 120,
+                        },
+                    ),
+                    (
+                        cell(4),
+                        CellRollup {
+                            trajectories: 1,
+                            stays: 1,
+                            dwell_seconds: 60,
+                        },
+                    ),
+                ],
+                periods: vec![(-3600, 1), (0, 2), (7200, 1)],
+            }),
+            Response::Rollup(StatsRollup::default()),
             Response::Checkpointed {
                 spilled: 12,
                 warehouse_trajectories: 99,
@@ -1007,6 +1054,35 @@ mod tests {
             let back = decode_request(&mut buf.as_slice()).unwrap();
             assert_eq!(back, req);
         }
+    }
+
+    #[test]
+    fn every_op_round_trips_and_requests_stay_core_only() {
+        let mut ops: Vec<Op> = requests().into_iter().map(Op::Request).collect();
+        ops.push(Op::Rollup);
+        for op in ops {
+            let mut buf = Vec::new();
+            encode_op(&mut buf, &op);
+            assert_eq!(decode_op(&mut buf.as_slice()).unwrap(), op);
+            for cut in 0..buf.len() {
+                assert!(decode_op(&mut &buf[..cut]).is_err(), "cut {cut}");
+            }
+            buf.push(0);
+            assert!(decode_op(&mut buf.as_slice()).is_err(), "trailing byte");
+        }
+        // A core request encodes identically through either entry point,
+        // and the core decoder refuses the ops outside `Request`.
+        let mut via_op = Vec::new();
+        encode_op(&mut via_op, &Op::Request(Request::Stats));
+        let mut via_request = Vec::new();
+        encode_request(&mut via_request, &Request::Stats);
+        assert_eq!(via_op, via_request);
+        let mut rollup = Vec::new();
+        encode_op(&mut rollup, &Op::Rollup);
+        assert!(matches!(
+            decode_request(&mut rollup.as_slice()),
+            Err(CodecError::BadTag(REQ_ROLLUP))
+        ));
     }
 
     #[test]

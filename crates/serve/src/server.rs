@@ -34,15 +34,16 @@
 //!   [`Flusher`]-fed [`sitm_query::SegmentedDb`] warehouse sits behind
 //!   its own `RwLock`, shared by query readers and written only by
 //!   checkpoints. Only ingest, checkpoint, shutdown, and subscription
-//!   registration serialize on the core mutex: the query/explain ops
-//!   clone the engine's **epoch-cached** `Arc<LiveSnapshot>` and
+//!   registration serialize on the core mutex: the query/explain/rollup
+//!   ops clone the engine's **epoch-cached** `Arc<LiveSnapshot>` and
 //!   acquire a warehouse read guard under the lock, then release it
 //!   and evaluate outside — concurrent queries run truly in parallel,
 //!   and back-to-back queries between ingest barriers share one
-//!   snapshot (`serve.snapshot_cache_hits`).
+//!   snapshot (`serve.snapshot_cache_hits`). The monitor ops (`Stats`,
+//!   `Health`) never cut a snapshot: they read counters only.
 //! * **Subscriptions** — a session can register a continuous query.
-//!   While at least one subscription exists, every ingest barrier
-//!   drains the engine's emitted-episode backlog, stamps the new
+//!   While at least one subscription exists, every non-empty ingest
+//!   barrier drains the engine's emitted-episode backlog, stamps the new
 //!   epoch, and fans the delta out to each subscriber whose predicate
 //!   does not provably reject it (`Predicate::delta_may_match`), into
 //!   a **bounded** per-subscriber queue. The owning session flushes
@@ -71,7 +72,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration as StdDuration, Instant};
 
 use sitm_obs::health::HealthReport;
-use sitm_obs::timeseries::{rate_per_sec, Sampler, DEFAULT_SAMPLE_PERIOD, DEFAULT_SERIES_CAPACITY};
+use sitm_obs::timeseries::{Sampler, DEFAULT_SAMPLE_PERIOD, DEFAULT_SERIES_CAPACITY};
 use sitm_obs::trace::{self, TraceContext, TraceRecorder, DEFAULT_TRACE_CAPACITY};
 use sitm_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use sitm_query::{Predicate, SegmentedDb, TrajectorySource};
@@ -80,7 +81,7 @@ use sitm_store::warehouse::{SegmentRollup, WarehouseConfig, DEFAULT_ROLLUP_PERIO
 use sitm_stream::{EmittedEpisode, EngineConfig, Flusher, LiveSnapshot, ParallelEngine};
 
 use crate::proto::{
-    decode_request, encode_response, ExplainReport, Request, Response, ServerStats, StatsRollup,
+    decode_op, encode_response, ExplainReport, Op, Request, Response, ServerStats, StatsRollup,
     WirePlan,
 };
 use crate::wire::{read_message_or_idle, write_frame, WireError};
@@ -212,7 +213,7 @@ impl ServerConfig {
 
 /// Wire-op names, indexed by [`op_index`] — the suffixes of the
 /// `serve.requests.{op}` counters and `serve.handle_ns.{op}` histograms.
-const OP_NAMES: [&str; 12] = [
+const OP_NAMES: [&str; 13] = [
     "ingest",
     "query",
     "query_federated",
@@ -225,9 +226,14 @@ const OP_NAMES: [&str; 12] = [
     "unsubscribe",
     "health",
     "trace",
+    "rollup",
 ];
 
-fn op_index(request: &Request) -> usize {
+fn op_index(op: &Op) -> usize {
+    let request = match op {
+        Op::Request(request) => request,
+        Op::Rollup => return 12,
+    };
     match request {
         Request::IngestBatch(_) => 0,
         Request::Query(_) => 1,
@@ -769,7 +775,7 @@ fn session_loop(
         metrics
             .bytes_in
             .add((message.payload.len() + FRAME_OVERHEAD) as u64);
-        let request = match decode_request(&mut message.payload.as_slice()) {
+        let request = match decode_op(&mut message.payload.as_slice()) {
             Ok(request) => request,
             Err(err) => {
                 // A well-framed but undecodable payload: the stream is
@@ -788,7 +794,7 @@ fn session_loop(
                 continue;
             }
         };
-        let is_shutdown = matches!(request, Request::Shutdown);
+        let is_shutdown = matches!(request, Op::Request(Request::Shutdown));
         let op = op_index(&request);
         metrics.ops[op].requests.inc();
         // Render slow-log detail only when the log is armed — the
@@ -815,7 +821,10 @@ fn session_loop(
         let started = Instant::now();
         let response = {
             let _handle = trace::child("handle");
-            handle_request(shared, request, session)
+            match request {
+                Op::Request(request) => handle_request(shared, request, session),
+                Op::Rollup => Response::Rollup(rollup(shared)),
+            }
         };
         let elapsed_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         metrics.ops[op].handle_ns.record(elapsed_ns);
@@ -970,7 +979,12 @@ fn handle_request(shared: &Shared, request: Request, session: &mut SessionState)
             let n = events.len() as u64;
             let mut core = shared.core.lock().unwrap_or_else(|p| p.into_inner());
             core.engine.ingest_all(events);
-            notify_subscribers(shared, &mut core.engine);
+            // An empty batch advances no epoch, so it is no barrier:
+            // a notification stamped with an unadvanced epoch would
+            // break the strictly-increasing contract.
+            if n > 0 {
+                notify_subscribers(shared, &mut core.engine);
+            }
             Response::Ingested { events: n }
         }
         Request::Query(wire_query) => {
@@ -1018,23 +1032,19 @@ fn handle_request(shared: &Shared, request: Request, session: &mut SessionState)
         }
         Request::Explain(predicate) => Response::Explained(explain(shared, &predicate)),
         Request::Stats => {
+            // Counters only: one engine barrier under the core lock and
+            // one warehouse read guard — no snapshot cut, no rollup.
             let stats = {
                 let mut core = shared.core.lock().unwrap_or_else(|p| p.into_inner());
                 core.engine.stats()
             };
-            // The breakdowns decode nothing: segment totals come from
-            // the warehouse's header-frame rollups, the live tier folds
-            // through the (epoch-cached) snapshot, and the two merge
-            // component-wise.
-            let (snapshot, _cached, warehouse) = acquire_read_set(shared);
-            let mut merged = SegmentRollup::new(DEFAULT_ROLLUP_PERIOD_SECONDS);
-            snapshot.for_each_trajectory(&mut |t| merged.add(t));
-            for (cell, agg) in warehouse.db().rollup_cells() {
-                merged.cells.entry(cell).or_default().merge(&agg);
-            }
-            for (bucket, count) in warehouse.db().rollup_occupancy() {
-                *merged.periods.entry(bucket).or_insert(0) += count;
-            }
+            let (warehouse_trajectories, warehouse_segments) = {
+                let warehouse = shared.warehouse.read().unwrap_or_else(|p| p.into_inner());
+                (
+                    warehouse.db().len() as u64,
+                    warehouse.db().segments().len() as u64,
+                )
+            };
             Response::Stats {
                 stats: ServerStats {
                     events: stats.events,
@@ -1044,15 +1054,10 @@ fn handle_request(shared: &Shared, request: Request, session: &mut SessionState)
                     episodes: stats.episodes,
                     anomalies: stats.anomalies.total(),
                     open_visits: stats.open_visits,
-                    warehouse_trajectories: warehouse.db().len() as u64,
-                    warehouse_segments: warehouse.db().segments().len() as u64,
+                    warehouse_trajectories,
+                    warehouse_segments,
                     sessions_accepted: shared.sessions_accepted.load(Ordering::Relaxed),
                     sessions_active: shared.metrics.sessions_active.get().max(0) as u64,
-                },
-                rollup: StatsRollup {
-                    period_seconds: merged.period_seconds,
-                    cells: merged.cells.into_iter().collect(),
-                    periods: merged.periods.into_iter().collect(),
                 },
             }
         }
@@ -1135,6 +1140,27 @@ fn handle_request(shared: &Shared, request: Request, session: &mut SessionState)
     }
 }
 
+/// The `Rollup` op. The breakdowns decode nothing: segment totals come
+/// from the warehouse's header-frame rollups, the live tier folds
+/// through the (epoch-cached) snapshot, and the two merge
+/// component-wise.
+fn rollup(shared: &Shared) -> StatsRollup {
+    let (snapshot, _cached, warehouse) = acquire_read_set(shared);
+    let mut merged = SegmentRollup::new(DEFAULT_ROLLUP_PERIOD_SECONDS);
+    snapshot.for_each_trajectory(&mut |t| merged.add(t));
+    for (cell, agg) in warehouse.db().rollup_cells() {
+        merged.cells.entry(cell).or_default().merge(&agg);
+    }
+    for (bucket, count) in warehouse.db().rollup_occupancy() {
+        *merged.periods.entry(bucket).or_insert(0) += count;
+    }
+    StatsRollup {
+        period_seconds: merged.period_seconds,
+        cells: merged.cells.into_iter().collect(),
+        periods: merged.periods.into_iter().collect(),
+    }
+}
+
 /// Stamps "a checkpoint committed now" for Health's checkpoint age.
 fn mark_checkpoint(shared: &Shared) {
     let ms = u64::try_from(shared.started.elapsed().as_millis()).unwrap_or(u64::MAX - 1);
@@ -1143,8 +1169,9 @@ fn mark_checkpoint(shared: &Shared) {
 
 /// Assembles the `Health` report from state the server already
 /// maintains: one brief core lock for the epoch, one warehouse read
-/// guard for the backlog and segment shape, and relaxed gauge/counter
-/// loads for the rest — cheap enough to poll at the sampler period.
+/// guard for the backlog and segment shape, the ingest rate computed
+/// under the series-ring lock, and relaxed gauge/counter loads for the
+/// rest — cheap enough to poll at the sampler period.
 fn build_health(shared: &Shared) -> HealthReport {
     let uptime_ms = u64::try_from(shared.started.elapsed().as_millis()).unwrap_or(u64::MAX);
     let epoch = {
@@ -1166,8 +1193,7 @@ fn build_health(shared: &Shared) -> HealthReport {
     let events_per_sec_milli = shared
         .sampler
         .as_ref()
-        .and_then(|s| s.ring().last_pair())
-        .and_then(|(a, b)| rate_per_sec(&a, &b, "engine.events_ingested"))
+        .and_then(|s| s.ring().last_rate("engine.events_ingested"))
         .map_or(0, |rate| (rate * 1000.0) as u64);
     HealthReport {
         uptime_ms,

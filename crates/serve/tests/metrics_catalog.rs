@@ -80,9 +80,9 @@ fn documented_catalog() -> Vec<String> {
 /// Exercises every subsystem the catalog names: ingest (engine +
 /// fence), checkpoint (flush + store), warehouse + federated queries
 /// (query pruning, row cache, serve read-path splits), explain,
-/// metrics/health/trace ops, a subscription (push path), a torn frame
-/// (frame_errors), a bad payload (bad_requests), and an oversized
-/// response (errors).
+/// stats/rollup/metrics/health/trace ops, a subscription (push path),
+/// a torn frame (frame_errors), a bad payload (bad_requests), and an
+/// oversized response (errors).
 fn exercised_snapshot() -> sitm_obs::MetricsSnapshot {
     let tmp = TempDir::new("exercise");
     let config = EngineConfig::new(vec![(IntervalPredicate::in_cells([cell(1)]), label("one"))])
@@ -167,6 +167,7 @@ fn exercised_snapshot() -> sitm_obs::MetricsSnapshot {
         .explain(&Predicate::MovingObject("mo-3".into()))
         .expect("explain");
     client.server_stats().expect("stats");
+    client.rollup().expect("rollup");
     client.health().expect("health");
     client.traces(4).expect("traces");
     drop(subscriber.unsubscribe().expect("unsubscribe"));
@@ -256,6 +257,7 @@ fn op_families_cover_every_documented_op() {
         "unsubscribe",
         "health",
         "trace",
+        "rollup",
     ];
     let snapshot = exercised_snapshot();
     for op in ops {
@@ -270,4 +272,76 @@ fn op_families_cover_every_documented_op() {
             "no handle histogram for op {op}"
         );
     }
+}
+
+/// `engine.pending_episodes` makes the undrained pool visible: without
+/// a subscriber nothing drains it, so the gauge climbs with every
+/// episode emitted; a subscriber's first ingest barrier drains it back
+/// to zero and receives every one of those episodes.
+#[test]
+fn pending_episodes_gauge_tracks_the_undrained_pool() {
+    let tmp = TempDir::new("pending");
+    let config = EngineConfig::new(vec![(IntervalPredicate::in_cells([cell(1)]), label("one"))])
+        .with_shards(2)
+        .with_batch_capacity(4);
+    let server = Server::start(ServerConfig::new(config, &tmp.0)).expect("start server");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let closed_visit = |v: u64| {
+        let t0 = v as i64 * 10;
+        vec![
+            StreamEvent::VisitOpened {
+                visit: VisitKey(v),
+                moving_object: format!("mo-{v}"),
+                annotations: label("visit"),
+                at: Timestamp(t0),
+            },
+            StreamEvent::Presence {
+                visit: VisitKey(v),
+                interval: PresenceInterval::new(
+                    TransitionTaken::Unknown,
+                    cell(1),
+                    Timestamp(t0),
+                    Timestamp(t0 + 5),
+                ),
+            },
+            StreamEvent::VisitClosed {
+                visit: VisitKey(v),
+                at: Timestamp(t0 + 6),
+            },
+        ]
+    };
+    let pending = |client: &mut Client| {
+        // Stats is an engine barrier, so the gauge read after it is exact.
+        let episodes = client.server_stats().expect("stats").episodes;
+        let gauge = client
+            .metrics()
+            .expect("metrics")
+            .gauge("engine.pending_episodes")
+            .expect("the gauge is published");
+        (episodes, gauge)
+    };
+
+    client
+        .ingest_batch((0..5).flat_map(closed_visit).collect())
+        .expect("ingest");
+    assert_eq!(pending(&mut client), (5, 5), "no subscriber, no drain");
+    client
+        .ingest_batch((5..8).flat_map(closed_visit).collect())
+        .expect("ingest");
+    assert_eq!(pending(&mut client), (8, 8), "the pool grows with history");
+
+    let subscriber = Subscriber::subscribe(server.addr(), &WireQuery::filtered(Predicate::True))
+        .expect("subscribe");
+    client.ingest_batch(closed_visit(8)).expect("ingest");
+    assert_eq!(pending(&mut client), (9, 0), "the barrier drained the pool");
+    let delivered: usize = subscriber
+        .unsubscribe()
+        .expect("unsubscribe")
+        .into_iter()
+        .map(|(_, episodes)| episodes.len())
+        .sum();
+    assert_eq!(delivered, 9, "the late subscriber received the whole pool");
+
+    client.shutdown().expect("shutdown");
+    server.join().expect("join");
 }

@@ -212,6 +212,96 @@ fn served_results_equal_in_process_federation() {
     server.join().expect("join");
 }
 
+/// The monitor ops cost O(counters): after an `IngestBatch` (which
+/// invalidates the live-snapshot cache) a `Stats` and a `Health` poll
+/// must not cut a snapshot. The per-cell / per-period breakdowns moved
+/// to the `Rollup` op, whose payload must equal the in-process merge of
+/// the warehouse's segment rollups with a fold over the live tier.
+#[test]
+fn monitor_polls_cut_nothing_and_rollup_equals_an_in_process_merge() {
+    use std::collections::BTreeMap;
+
+    use sitm_serve::StatsRollup;
+    use sitm_store::warehouse::{SegmentRollup, DEFAULT_ROLLUP_PERIOD_SECONDS};
+
+    let tmp_server = TempDir::new("rollup-server");
+    let tmp_local = TempDir::new("rollup-local");
+    let server =
+        Server::start(ServerConfig::new(engine_config(), &tmp_server.0)).expect("start server");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let mut reference = ShardedEngine::new(engine_config().with_warehouse()).expect("engine");
+    let mut ref_flusher = Flusher::new(
+        SegmentedDb::open(&tmp_local.0, WarehouseConfig::default())
+            .expect("open")
+            .0,
+    );
+    for batch in [feed(0, 6, 0), feed(6, 4, 0)] {
+        client.ingest_batch(batch.clone()).expect("ingest");
+        reference.ingest_all(batch);
+        client.checkpoint().expect("checkpoint");
+        ref_flusher.poll(&mut reference).expect("local spill");
+    }
+    // Three visits stay open: the live tier the rollup must fold in.
+    let live_batch = feed(10, 0, 3);
+    client.ingest_batch(live_batch.clone()).expect("ingest");
+    reference.ingest_all(live_batch);
+
+    let misses = |client: &mut Client| {
+        client
+            .metrics()
+            .expect("metrics")
+            .counter("serve.snapshot_cache_misses")
+            .unwrap_or(0)
+    };
+    let before = misses(&mut client);
+    let stats = client.server_stats().expect("stats");
+    assert_eq!(stats.open_visits, 3);
+    assert_eq!(stats.warehouse_trajectories, 10);
+    client.health().expect("health");
+    assert_eq!(
+        misses(&mut client),
+        before,
+        "Stats and Health must not cut a live snapshot"
+    );
+
+    let served = client.rollup().expect("rollup");
+    assert_eq!(
+        misses(&mut client),
+        before + 1,
+        "Rollup cuts the snapshot the ingest invalidated"
+    );
+
+    let local_db = ref_flusher.db();
+    let mut cells = local_db.rollup_cells();
+    let mut periods: BTreeMap<i64, u64> = local_db.rollup_occupancy();
+    let warehouse_only: Vec<_> = cells.clone().into_iter().collect();
+    let mut live = Vec::new();
+    reference
+        .live_snapshot()
+        .for_each_trajectory(&mut |t| live.push(t.clone()));
+    assert_eq!(live.len(), 3);
+    let live = SegmentRollup::build(&live, DEFAULT_ROLLUP_PERIOD_SECONDS);
+    for (cell, agg) in &live.cells {
+        cells.entry(*cell).or_default().merge(agg);
+    }
+    for (bucket, n) in &live.periods {
+        *periods.entry(*bucket).or_default() += n;
+    }
+    let expected = StatsRollup {
+        period_seconds: DEFAULT_ROLLUP_PERIOD_SECONDS,
+        cells: cells.into_iter().collect(),
+        periods: periods.into_iter().collect(),
+    };
+    assert_eq!(served, expected, "served rollup != in-process merge");
+    assert_ne!(
+        served.cells, warehouse_only,
+        "the live tier contributes to the merge"
+    );
+
+    client.shutdown().expect("graceful shutdown");
+    server.join().expect("join");
+}
+
 /// A graceful shutdown flushes the finished backlog into the warehouse
 /// before acknowledging, so nothing closed is ever lost — a reopened
 /// warehouse serves the full history.
@@ -298,7 +388,6 @@ fn client_reconnects_after_connection_loss() {
             &mut buf,
             &sitm_serve::Response::Stats {
                 stats: Default::default(),
-                rollup: Default::default(),
             },
         );
         write_frame(&mut second, &buf).expect("respond");

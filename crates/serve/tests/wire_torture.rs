@@ -16,8 +16,8 @@ use sitm_graph::{LayerIdx, NodeId};
 use sitm_query::wire::WireQuery;
 use sitm_query::Predicate;
 use sitm_serve::{
-    decode_response, encode_request, encode_response, read_frame, write_frame, Client, Request,
-    Response, Server, ServerConfig,
+    decode_response, encode_op, encode_request, encode_response, read_frame, write_frame, Client,
+    Op, Request, Response, Server, ServerConfig,
 };
 use sitm_space::CellRef;
 use sitm_stream::{EngineConfig, StreamEvent, VisitKey};
@@ -82,7 +82,6 @@ fn response_frame() -> Vec<u8> {
         &mut payload,
         &Response::Stats {
             stats: Default::default(),
-            rollup: Default::default(),
         },
     );
     let mut frame = Vec::new();
@@ -225,7 +224,6 @@ fn torn_response_at_every_offset_errors_cleanly() {
         &mut payload,
         &Response::Stats {
             stats: Default::default(),
-            rollup: Default::default(),
         },
     );
     for i in 0..payload.len() {
@@ -348,6 +346,112 @@ fn torn_subscribe_and_notification_frames_error_cleanly() {
     }
 
     client.shutdown().expect("shutdown");
+    server.join().expect("join");
+}
+
+/// The `Rollup` op under the same torture: its request frame torn and
+/// bit-flipped at every offset against a live server is a per-session
+/// error every time, and its response frame (a populated rollup) torn
+/// at every offset fails in the framing, with corrupt payload bytes
+/// failing in the codec — never a panic, never a partial value.
+#[test]
+fn torn_rollup_frames_error_cleanly() {
+    use sitm_serve::StatsRollup;
+    use sitm_store::warehouse::CellRollup;
+
+    let tmp = TempDir::new("torn-rollup");
+    let server = Server::start(ServerConfig::new(engine_config(), &tmp.0).with_sessions(2))
+        .expect("start server");
+
+    let mut payload = Vec::new();
+    encode_op(&mut payload, &Op::Rollup);
+    let mut frame = Vec::new();
+    write_frame(&mut frame, &payload).expect("frame");
+    for cut in 0..frame.len() {
+        let responses = send_raw(server.addr(), &frame[..cut]);
+        for response in &responses {
+            assert!(
+                matches!(response, Response::Error(_)),
+                "cut {cut}: torn rollup must only produce an error, got {response:?}"
+            );
+        }
+    }
+    for i in 0..frame.len() {
+        let mut corrupt = frame.clone();
+        corrupt[i] ^= 0x01;
+        let responses = send_raw(server.addr(), &corrupt);
+        for response in &responses {
+            assert!(
+                matches!(response, Response::Error(_)),
+                "flip {i}: corrupt rollup must only produce an error, got {response:?}"
+            );
+        }
+    }
+    // The intact frame is answered with a rollup.
+    let responses = send_raw(server.addr(), &frame);
+    assert!(
+        matches!(responses.as_slice(), [Response::Rollup(_)]),
+        "the intact frame is served: {responses:?}"
+    );
+
+    let mut payload = Vec::new();
+    encode_response(
+        &mut payload,
+        &Response::Rollup(StatsRollup {
+            period_seconds: 3600,
+            cells: vec![
+                (
+                    cell(1),
+                    CellRollup {
+                        trajectories: 2,
+                        stays: 3,
+                        dwell_seconds: 120,
+                    },
+                ),
+                (
+                    cell(4),
+                    CellRollup {
+                        trajectories: 1,
+                        stays: 1,
+                        dwell_seconds: 60,
+                    },
+                ),
+            ],
+            periods: vec![(-3600, 1), (0, 2)],
+        }),
+    );
+    let mut frame = Vec::new();
+    write_frame(&mut frame, &payload).expect("frame");
+    for cut in 0..frame.len() {
+        let mut cursor = &frame[..cut];
+        assert!(read_frame(&mut cursor).is_err(), "cut {cut}");
+    }
+    for i in 0..frame.len() {
+        let mut corrupt = frame.clone();
+        corrupt[i] ^= 0x01;
+        let mut cursor: &[u8] = &corrupt;
+        if let Ok(payload) = read_frame(&mut cursor) {
+            panic!("flip {i} slipped through framing: {payload:?}");
+        }
+    }
+    for i in 0..payload.len() {
+        let mut corrupt = payload.clone();
+        corrupt[i] ^= 0xFF;
+        let mut reframed = Vec::new();
+        write_frame(&mut reframed, &corrupt).expect("frame");
+        let mut cursor: &[u8] = &reframed;
+        let recovered = read_frame(&mut cursor).expect("framing is intact");
+        let _ = decode_response(&mut recovered.as_slice());
+    }
+    // Every truncation of the payload itself is a codec error.
+    for cut in 0..payload.len() {
+        assert!(
+            decode_response(&mut &payload[..cut]).is_err(),
+            "payload cut {cut}"
+        );
+    }
+
+    server.shutdown();
     server.join().expect("join");
 }
 

@@ -429,11 +429,21 @@ impl ShardedEngine {
         for shard in &mut self.shards {
             out.extend(shard.take_pending());
         }
-        if !out.is_empty() {
-            // Pending episodes ride the live snapshot; removing them
-            // changes the queryable cut.
-            self.dirty = true;
-        }
+        out.sort_by_key(|a| a.sort_key());
+        out
+    }
+
+    /// Flushes, then clones the episodes a [`ShardedEngine::drain`]
+    /// would return now, in the same order, without taking them. The
+    /// pool is not part of a [`LiveSnapshot`]; this is how a caller
+    /// reads it at a snapshot's cut.
+    pub fn pending_episodes(&mut self) -> Vec<EmittedEpisode> {
+        self.flush();
+        let mut out: Vec<EmittedEpisode> = self
+            .shards
+            .iter()
+            .flat_map(|shard| shard.pending().iter().cloned())
+            .collect();
         out.sort_by_key(|a| a.sort_key());
         out
     }
@@ -442,10 +452,6 @@ impl ShardedEngine {
     /// [`ShardedEngine::drain`] for deltas that could not be delivered);
     /// the next drain re-emits them in the usual deterministic order.
     pub fn requeue_pending(&mut self, episodes: Vec<EmittedEpisode>) {
-        if episodes.is_empty() {
-            return;
-        }
-        self.dirty = true;
         let shards = self.config.shards;
         for episode in episodes {
             let shard = shard_of(episode.visit, shards);
@@ -484,8 +490,9 @@ impl ShardedEngine {
     }
 
     /// The engine's state epoch: advances whenever the queryable live
-    /// state may have changed since the last stamp (an ingest, a drain,
-    /// a finish, a restore, a requeue). Stamping is a barrier-free
+    /// state may have changed since the last stamp (an ingest, a
+    /// finish, a restore). Draining and requeueing episodes leave it
+    /// alone: the pending pool is not snapshot-visible. Stamping is a barrier-free
     /// bookkeeping step — the counter is what keys the snapshot cache
     /// and what push subscribers see on notifications.
     pub fn epoch(&mut self) -> u64 {
@@ -499,9 +506,10 @@ impl ShardedEngine {
 
     /// A snapshot-consistent cut of the live state: every open visit's
     /// trajectory prefix (requires
-    /// [`EngineConfig::with_live_queries`]) plus the episodes finalized
-    /// but not yet drained. See [`crate::live_query`] for the
-    /// consistency model and the query surface.
+    /// [`EngineConfig::with_live_queries`]) and the live index. The
+    /// undrained episodes are not copied (see
+    /// [`ShardedEngine::pending_episodes`]). See [`crate::live_query`]
+    /// for the consistency model and the query surface.
     ///
     /// The cut is **epoch-cached**: while nothing mutates the engine,
     /// repeated calls share one [`Arc`]'d snapshot instead of re-cutting

@@ -28,7 +28,8 @@
 //!   over the open-visit population (cell → visits, moving object →
 //!   visits, span-start order), updated per accepted event;
 //! * [`live_query`] — [`LiveSnapshot`]: snapshot-consistent cuts of the
-//!   live state (open-visit trajectory prefixes + undrained episodes),
+//!   live state (open-visit trajectory prefixes + their postings; the
+//!   undrained episodes stay in the engine, see `pending_episodes`),
 //!   queryable with `sitm_query::Predicate` through the live index —
 //!   candidate narrowing with a full re-check, exactly like the
 //!   warehouse — and federated across engines and warehouses via

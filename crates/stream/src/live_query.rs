@@ -2,23 +2,29 @@
 //!
 //! The batch query stack (`sitm-query`) sees trajectories only after
 //! their visits close and drain. This module makes the *live* state
-//! visible too: every open visit's trajectory prefix plus every episode
-//! that is finalized but not yet drained — the moving-object meta-model's
-//! "spatio-temporal predicates over live trajectories" served straight
-//! from the engine.
+//! visible too: every open visit's trajectory prefix — the
+//! moving-object meta-model's "spatio-temporal predicates over live
+//! trajectories" served straight from the engine.
 //!
 //! ## Snapshot consistency
 //!
 //! A [`LiveSnapshot`] is a *consistent cut*: both engines produce it by
 //! flushing, then capturing every shard's state at one point in the
 //! command order, so an event is either entirely visible (its effects on
-//! the prefix, the open runs, and the pending episodes all present) or
-//! entirely absent. For [`crate::ParallelEngine`] the cut is a quiesce
-//! point of the work-stealing scheduler: every event ingested before the
-//! call is applied and deposited before the capture, everything after is
+//! the prefix and the live index both present) or entirely absent. For
+//! [`crate::ParallelEngine`] the cut is a quiesce point of the
+//! work-stealing scheduler: every event ingested before the call is
+//! applied and deposited before the capture, everything after is
 //! excluded — the same contract the sequential engine gets from its
-//! in-line flush. Draining at the same cut (`drain` right after
-//! `live_snapshot`) yields exactly the snapshot's `pending` set.
+//! in-line flush.
+//!
+//! The undrained episode pool is **not** part of a snapshot: no query
+//! reads it, and without a subscriber draining it the pool grows with
+//! every episode emitted, so copying it into every cut (and freeing it
+//! with every invalidated cut) made each cut cost O(history). Callers
+//! that want the pool take it from the engine at the same cut —
+//! `pending_episodes()` on either runtime is a quiesced, drain-ordered
+//! clone, equal to what a `drain` right after it returns.
 //!
 //! Prefix visibility requires interval retention
 //! ([`crate::EngineConfig::with_live_queries`]); without it, open visits
@@ -63,12 +69,11 @@
 //! `sitm_query::federated_*`, with every indexed source narrowed through
 //! its own postings.
 
-use sitm_core::{SemanticTrajectory, TimeInterval, Timestamp};
+use sitm_core::{SemanticTrajectory, Timestamp};
 use sitm_query::{CandidateSet, Predicate, TrajId, TrajectorySource};
 
 use crate::event::VisitKey;
 use crate::live_index::LiveIndex;
-use crate::shard::EmittedEpisode;
 
 /// One open visit's queryable prefix.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,8 +90,6 @@ pub struct LiveVisit {
 pub struct ShardLive {
     /// Open visits with a queryable prefix, ordered by visit key.
     pub visits: Vec<LiveVisit>,
-    /// Episodes finalized but not yet drained.
-    pub pending: Vec<EmittedEpisode>,
     /// The shard's high-water mark.
     pub watermark: Option<Timestamp>,
     /// Open visits without a queryable prefix (retention off, no interval
@@ -97,14 +100,11 @@ pub struct ShardLive {
 }
 
 /// A consistent cut of an engine's live state: the union of every
-/// shard's open-visit prefixes and undrained episodes.
+/// shard's open-visit prefixes and live postings.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct LiveSnapshot {
     /// Open visits with queryable prefixes, ordered by visit key.
     pub visits: Vec<LiveVisit>,
-    /// Episodes finalized but not yet drained, in the engine's
-    /// deterministic drain order.
-    pub pending: Vec<EmittedEpisode>,
     /// The engine watermark at the cut (minimum across populated shards).
     pub watermark: Option<Timestamp>,
     /// Open visits that could not be queried (see [`ShardLive::unqueryable`]).
@@ -127,13 +127,11 @@ impl LiveSnapshot {
     /// Assembles the engine-level snapshot from per-shard cuts.
     pub fn from_shards(shards: Vec<ShardLive>) -> LiveSnapshot {
         let mut visits = Vec::new();
-        let mut pending = Vec::new();
         let mut unqueryable = 0;
         let mut watermark: Option<Timestamp> = None;
         let mut index = LiveIndex::new();
         for shard in shards {
             visits.extend(shard.visits);
-            pending.extend(shard.pending);
             unqueryable += shard.unqueryable;
             index.absorb(shard.index);
             watermark = match (watermark, shard.watermark) {
@@ -142,7 +140,6 @@ impl LiveSnapshot {
             };
         }
         visits.sort_by_key(|v| v.visit);
-        pending.sort_by_key(|e| e.sort_key());
         // Candidate narrowing is sound only when postings cover every
         // visit AND keys are unique: a key duplicated across merged
         // snapshots (overlapping engines, replicated feeds) would
@@ -157,7 +154,6 @@ impl LiveSnapshot {
             .collect();
         LiveSnapshot {
             visits,
-            pending,
             watermark,
             unqueryable,
             index,
@@ -173,7 +169,6 @@ impl LiveSnapshot {
             .into_iter()
             .map(|p| ShardLive {
                 visits: p.visits,
-                pending: p.pending,
                 watermark: p.watermark,
                 unqueryable: p.unqueryable,
                 index: p.index,
@@ -300,16 +295,6 @@ impl LiveSnapshot {
             .filter(|v| predicate.matches(&v.trajectory))
             .count()
     }
-
-    /// Undrained episodes whose time interval overlaps the window — the
-    /// interval-query face of the live state. (Pending episodes are a
-    /// drain buffer, not a standing population, so this stays a scan.)
-    pub fn episodes_overlapping(&self, window: TimeInterval) -> Vec<&EmittedEpisode> {
-        self.pending
-            .iter()
-            .filter(|e| e.episode.time.overlaps(window))
-            .collect()
-    }
 }
 
 impl TrajectorySource for LiveSnapshot {
@@ -342,7 +327,9 @@ impl TrajectorySource for LiveSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sitm_core::{Annotation, AnnotationSet, Episode, PresenceInterval, Trace, TransitionTaken};
+    use sitm_core::{
+        Annotation, AnnotationSet, PresenceInterval, TimeInterval, Trace, TransitionTaken,
+    };
     use sitm_graph::{LayerIdx, NodeId};
     use sitm_space::CellRef;
 
@@ -370,7 +357,7 @@ mod tests {
 
     /// A ShardLive whose index covers its visits (the shape engines
     /// produce).
-    fn shard_live(visits: Vec<LiveVisit>, pending: Vec<EmittedEpisode>) -> ShardLive {
+    fn shard_live(visits: Vec<LiveVisit>) -> ShardLive {
         let mut index = LiveIndex::new();
         for v in &visits {
             for interval in v.trajectory.trace().intervals() {
@@ -379,23 +366,9 @@ mod tests {
         }
         ShardLive {
             visits,
-            pending,
             watermark: None,
             unqueryable: 0,
             index,
-        }
-    }
-
-    fn pending(v: u64, start: i64, end: i64) -> EmittedEpisode {
-        EmittedEpisode {
-            visit: VisitKey(v),
-            moving_object: format!("mo-{v}"),
-            predicate: 0,
-            episode: Episode {
-                range: 0..1,
-                time: TimeInterval::new(Timestamp(start), Timestamp(end)),
-                annotations: AnnotationSet::from_iter([Annotation::goal("ep")]),
-            },
         }
     }
 
@@ -405,17 +378,16 @@ mod tests {
             ShardLive {
                 watermark: Some(Timestamp(40)),
                 unqueryable: 1,
-                ..shard_live(vec![live(5, 1, 0)], vec![pending(5, 20, 30)])
+                ..shard_live(vec![live(5, 1, 0)])
             },
             ShardLive {
                 watermark: Some(Timestamp(25)),
-                ..shard_live(vec![live(2, 2, 0)], vec![pending(2, 0, 10)])
+                ..shard_live(vec![live(2, 2, 0)])
             },
-            shard_live(vec![], vec![]),
+            shard_live(vec![]),
         ]);
         assert_eq!(snapshot.visits.len(), 2);
         assert_eq!(snapshot.visits[0].visit, VisitKey(2), "sorted by key");
-        assert_eq!(snapshot.pending[0].visit, VisitKey(2), "drain order");
         assert_eq!(snapshot.watermark, Some(Timestamp(25)), "min across Some");
         assert_eq!(snapshot.unqueryable, 1);
         assert!(snapshot.index_complete, "shards carried their postings");
@@ -423,25 +395,26 @@ mod tests {
 
     #[test]
     fn predicate_and_interval_faces() {
-        let snapshot = LiveSnapshot::from_shards(vec![shard_live(
-            vec![live(1, 1, 0), live(2, 2, 0)],
-            vec![pending(1, 0, 10), pending(2, 50, 60)],
-        )]);
+        let snapshot =
+            LiveSnapshot::from_shards(vec![shard_live(vec![live(1, 1, 0), live(2, 2, 50)])]);
         let p = Predicate::VisitedCell(cell(1));
         assert_eq!(snapshot.count_matching(&p), 1);
         assert_eq!(snapshot.matching(&p)[0].visit, VisitKey(1));
-        let window = TimeInterval::new(Timestamp(5), Timestamp(20));
-        let eps = snapshot.episodes_overlapping(window);
-        assert_eq!(eps.len(), 1);
-        assert_eq!(eps[0].visit, VisitKey(1));
+        // The interval face: open prefixes whose span overlaps a window.
+        let window = Predicate::SpanOverlaps(TimeInterval::new(Timestamp(5), Timestamp(20)));
+        let hits = snapshot.matching(&window);
+        assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].visit, VisitKey(1));
+        assert_eq!(snapshot.count_matching(&window), 1);
     }
 
     #[test]
     fn indexed_candidates_narrow_and_match_the_scan_path() {
-        let snapshot = LiveSnapshot::from_shards(vec![shard_live(
-            vec![live(1, 1, 0), live(2, 2, 100), live(3, 1, 200)],
-            vec![],
-        )]);
+        let snapshot = LiveSnapshot::from_shards(vec![shard_live(vec![
+            live(1, 1, 0),
+            live(2, 2, 100),
+            live(3, 1, 200),
+        ])]);
         let predicates = [
             Predicate::VisitedCell(cell(1)),
             Predicate::MovingObject("mo-2".into()),
@@ -487,7 +460,6 @@ mod tests {
         // lose matches, so candidates must degrade to All.
         let snapshot = LiveSnapshot::from_shards(vec![ShardLive {
             visits: vec![live(1, 1, 0)],
-            pending: vec![],
             watermark: None,
             unqueryable: 0,
             index: LiveIndex::new(),
@@ -506,9 +478,8 @@ mod tests {
         // overlapping engines): a duplicated key cannot be narrowed
         // soundly, so the merge must disable the index path — and the
         // indexed entry points must still count both copies.
-        let a = LiveSnapshot::from_shards(vec![shard_live(vec![live(1, 1, 0)], vec![])]);
-        let b =
-            LiveSnapshot::from_shards(vec![shard_live(vec![live(1, 1, 0), live(2, 2, 0)], vec![])]);
+        let a = LiveSnapshot::from_shards(vec![shard_live(vec![live(1, 1, 0)])]);
+        let b = LiveSnapshot::from_shards(vec![shard_live(vec![live(1, 1, 0), live(2, 2, 0)])]);
         let merged = LiveSnapshot::merge([a, b]);
         assert_eq!(merged.visits.len(), 3);
         assert!(
@@ -525,11 +496,11 @@ mod tests {
     fn merge_unions_engine_snapshots_and_source_walks_all() {
         let a = LiveSnapshot::from_shards(vec![ShardLive {
             watermark: Some(Timestamp(10)),
-            ..shard_live(vec![live(1, 1, 0)], vec![])
+            ..shard_live(vec![live(1, 1, 0)])
         }]);
         let b = LiveSnapshot::from_shards(vec![ShardLive {
             unqueryable: 2,
-            ..shard_live(vec![live(2, 1, 0)], vec![])
+            ..shard_live(vec![live(2, 1, 0)])
         }]);
         let merged = LiveSnapshot::merge([a, b]);
         assert_eq!(merged.visits.len(), 2);

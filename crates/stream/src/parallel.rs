@@ -261,6 +261,10 @@ struct ParallelMetrics {
     visits_stolen: Arc<sitm_obs::Counter>,
     /// Ready-deque depth per worker.
     queue_depth: Vec<Arc<sitm_obs::Gauge>>,
+    /// Episodes finalized but not yet drained. Without a subscriber
+    /// nothing drains the pool, so this climbs with every episode
+    /// emitted — the gauge makes that growth visible.
+    pending_episodes: Arc<sitm_obs::Gauge>,
 }
 
 impl ParallelMetrics {
@@ -273,6 +277,7 @@ impl ParallelMetrics {
             queue_depth: (0..workers)
                 .map(|i| registry.gauge(&format!("engine.queue_depth.w{i}")))
                 .collect(),
+            pending_episodes: registry.gauge("engine.pending_episodes"),
         }
     }
 }
@@ -503,9 +508,19 @@ fn apply_index_ops(index: &Mutex<LiveIndex>, key: u64, ops: Vec<IndexOp>) {
     }
 }
 
-/// Folds a slice's remaining output into a deposit.
-fn absorb_into_deposit(deposit: &mut Deposit, key: u64, out: SliceOutput, shards: usize) {
+/// Folds a slice's remaining output into a deposit, counting its
+/// episodes into the pending-pool gauge.
+fn absorb_into_deposit(
+    deposit: &mut Deposit,
+    key: u64,
+    out: SliceOutput,
+    shards: usize,
+    pending_gauge: &sitm_obs::Gauge,
+) {
     deposit.stats.absorb(&out.stats);
+    if !out.pending.is_empty() {
+        pending_gauge.add(out.pending.len() as i64);
+    }
     deposit.pending.extend(out.pending);
     deposit.finished.extend(out.finished);
     if let Some(t) = out.watermark {
@@ -564,7 +579,13 @@ fn worker_loop(worker: usize, shared: &Shared, config: &EngineConfig) {
             // re-acquired until `held` clears below): index first, then
             // this worker's deposit — neither touches the scheduler.
             apply_index_ops(&shared.index, key, std::mem::take(&mut out.index_ops));
-            absorb_into_deposit(&mut lock(&shared.deposits[worker]), key, out, config.shards);
+            absorb_into_deposit(
+                &mut lock(&shared.deposits[worker]),
+                key,
+                out,
+                config.shards,
+                &shared.metrics.pending_episodes,
+            );
 
             guard = lock(&shared.state);
             let (requeue, was_fence) = {
@@ -652,6 +673,11 @@ impl ParallelEngine {
                 let parts = shard.into_parts();
                 seed.shard_watermarks[i] = parts.watermark;
                 seed.stats.absorb(&parts.stats);
+                engine
+                    .shared
+                    .metrics
+                    .pending_episodes
+                    .add(parts.pending.len() as i64);
                 seed.pending.extend(parts.pending);
                 seed.finished.extend(parts.finished);
                 for (key, state) in parts.visits {
@@ -843,16 +869,38 @@ impl ParallelEngine {
     pub fn drain(&mut self) -> Vec<EmittedEpisode> {
         self.dispatch();
         let guard = self.quiesce();
+        let mut out = self.take_pending();
+        drop(guard);
+        out.sort_by_key(|a| a.sort_key());
+        out
+    }
+
+    /// Empties every deposit's pending pool (unsorted). The caller
+    /// holds the quiesced scheduler.
+    fn take_pending(&self) -> Vec<EmittedEpisode> {
         let mut out = Vec::new();
         for deposit in &self.shared.deposits {
             out.append(&mut lock(deposit).pending);
         }
-        drop(guard);
-        if !out.is_empty() {
-            // Pending episodes ride the live snapshot; removing them
-            // changes the queryable cut.
-            self.dirty = true;
+        self.shared
+            .metrics
+            .pending_episodes
+            .add(-(out.len() as i64));
+        out
+    }
+
+    /// Flushes, then clones the episodes a [`ParallelEngine::drain`]
+    /// would return now, in the same order, without taking them. The
+    /// pool is not part of a [`LiveSnapshot`]; this is how a caller
+    /// reads it at a snapshot's cut.
+    pub fn pending_episodes(&mut self) -> Vec<EmittedEpisode> {
+        self.dispatch();
+        let guard = self.quiesce();
+        let mut out: Vec<EmittedEpisode> = Vec::new();
+        for deposit in &self.shared.deposits {
+            out.extend(lock(deposit).pending.iter().cloned());
         }
+        drop(guard);
         out.sort_by_key(|a| a.sort_key());
         out
     }
@@ -862,10 +910,10 @@ impl ParallelEngine {
     /// delivered); the next drain re-emits them in the usual
     /// deterministic order.
     pub fn requeue_pending(&mut self, episodes: Vec<EmittedEpisode>) {
-        if episodes.is_empty() {
-            return;
-        }
-        self.dirty = true;
+        self.shared
+            .metrics
+            .pending_episodes
+            .add(episodes.len() as i64);
         lock(&self.shared.deposits[0]).pending.extend(episodes);
     }
 
@@ -950,14 +998,17 @@ impl ParallelEngine {
             // deposit 0 — safe while holding the scheduler because
             // workers never block on the scheduler holding either lock.
             apply_index_ops(&self.shared.index, key, std::mem::take(&mut out.index_ops));
-            absorb_into_deposit(&mut lock(&self.shared.deposits[0]), key, out, shards);
+            absorb_into_deposit(
+                &mut lock(&self.shared.deposits[0]),
+                key,
+                out,
+                shards,
+                &self.shared.metrics.pending_episodes,
+            );
             guard.settle_cell(key, shard, was_fence, self.config.fence_capacity.max(1));
         }
+        let mut out = self.take_pending();
         drop(guard);
-        let mut out = Vec::new();
-        for deposit in &self.shared.deposits {
-            out.append(&mut lock(deposit).pending);
-        }
         out.sort_by_key(|a| a.sort_key());
         out
     }
@@ -978,10 +1029,11 @@ impl ParallelEngine {
     }
 
     /// The engine's state epoch: advances whenever the queryable live
-    /// state may have changed since the last stamp (an ingest, a drain,
-    /// a finish, a restore, a requeue). Stamping is barrier-free — the
-    /// counter is what keys the snapshot cache and what push
-    /// subscribers see on notifications.
+    /// state may have changed since the last stamp (an ingest, a
+    /// finish, a restore). Draining and requeueing episodes leave it
+    /// alone: the pending pool is not snapshot-visible. Stamping is
+    /// barrier-free — the counter is what keys the snapshot cache and
+    /// what push subscribers see on notifications.
     pub fn epoch(&mut self) -> u64 {
         if self.dirty {
             self.epoch += 1;
@@ -993,7 +1045,9 @@ impl ParallelEngine {
 
     /// A snapshot-consistent cut of the live state across every worker
     /// (see [`crate::live_query`] for the consistency model). The
-    /// snapshot carries the scheduler's live index from the same cut.
+    /// snapshot carries the scheduler's live index from the same cut,
+    /// but not the undrained episodes (see
+    /// [`ParallelEngine::pending_episodes`]).
     ///
     /// The cut is **epoch-cached**: while nothing mutates the engine,
     /// repeated calls share one [`Arc`]'d snapshot — no dispatch, no
@@ -1028,7 +1082,6 @@ impl ParallelEngine {
         let mut per_shard: Vec<ShardLive> = (0..shards)
             .map(|i| ShardLive {
                 visits: Vec::new(),
-                pending: Vec::new(),
                 watermark: watermarks[i],
                 unqueryable: 0,
                 index: LiveIndex::new(),
@@ -1044,11 +1097,6 @@ impl ParallelEngine {
                 }),
                 None => per_shard[shard].unqueryable += 1,
             }
-        }
-        for deposit in &self.shared.deposits {
-            per_shard[0]
-                .pending
-                .extend(lock(deposit).pending.iter().cloned());
         }
         per_shard[0].index = lock(&self.shared.index).clone();
         drop(guard);
@@ -1196,6 +1244,17 @@ impl Drop for ParallelEngine {
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
+        // Withdraw this engine's undrained pool from the shared gauge.
+        let abandoned: usize = self
+            .shared
+            .deposits
+            .iter()
+            .map(|d| lock(d).pending.len())
+            .sum();
+        self.shared
+            .metrics
+            .pending_episodes
+            .add(-(abandoned as i64));
     }
 }
 

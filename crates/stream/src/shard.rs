@@ -358,6 +358,11 @@ impl Shard {
         }
     }
 
+    /// The finalized-but-undrained episodes, in emission order.
+    pub fn pending(&self) -> &[EmittedEpisode] {
+        &self.pending
+    }
+
     /// Takes every finalized-but-undrained episode.
     pub fn take_pending(&mut self) -> Vec<EmittedEpisode> {
         std::mem::take(&mut self.pending)
@@ -399,9 +404,10 @@ impl Shard {
     }
 
     /// The shard's contribution to a live-query snapshot: every open
-    /// visit's trajectory prefix (when intervals are retained), plus a
-    /// copy of the finalized-but-undrained episodes. Visits without a
-    /// queryable prefix yet are counted, not silently dropped.
+    /// visit's trajectory prefix (when intervals are retained) and the
+    /// live index. The undrained episodes stay in the shard (see
+    /// [`Shard::pending`]). Visits without a queryable prefix yet are
+    /// counted, not silently dropped.
     pub fn live_state(&self) -> ShardLive {
         let mut visits = Vec::new();
         let mut unqueryable = 0usize;
@@ -416,7 +422,6 @@ impl Shard {
         }
         ShardLive {
             visits,
-            pending: self.pending.clone(),
             watermark: self.watermark,
             unqueryable,
             index: self.live_index.clone(),
@@ -694,7 +699,7 @@ mod tests {
     }
 
     #[test]
-    fn live_state_exposes_prefixes_and_pending() {
+    fn live_state_exposes_prefixes_and_leaves_pending_in_the_shard() {
         let preds = preds();
         let retaining = ShardCtx {
             retain_intervals: true,
@@ -716,7 +721,7 @@ mod tests {
         assert_eq!(live.visits.len(), 1);
         assert_eq!(live.visits[0].visit, VisitKey(3));
         assert_eq!(live.visits[0].trajectory.trace().len(), 2);
-        assert_eq!(live.pending.len(), 1, "cell-1 run closed by cell-0 stay");
+        assert_eq!(shard.pending().len(), 1, "cell-1 run closed by cell-0 stay");
         assert_eq!(live.unqueryable, 0);
         assert_eq!(live.watermark, Some(Timestamp(10)));
         // Without retention the visit is counted as unqueryable instead.

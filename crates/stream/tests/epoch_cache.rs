@@ -2,11 +2,13 @@
 //!
 //! * `live_snapshot` between ingest barriers returns the **same**
 //!   `Arc` (pointer-equal — zero rebuild, zero copy);
-//! * any mutation (ingest, drain-with-episodes, finish, requeue)
-//!   advances the epoch and invalidates the cache;
-//! * reads that don't change snapshot-visible state (`take_finished`,
-//!   `stats`) keep the cache warm — a checkpoint must not cost the
-//!   next query its cached snapshot;
+//! * any mutation of snapshot-visible state (ingest, finish) advances
+//!   the epoch and invalidates the cache;
+//! * calls that don't change snapshot-visible state (`take_finished`,
+//!   `stats`, `drain`, `requeue_pending`) keep the cache warm — a
+//!   checkpoint or a subscriber's drain must not cost the next query
+//!   its cached snapshot, because the undrained episode pool is not
+//!   part of a snapshot;
 //! * `requeue_pending` puts undelivered episodes back so the next
 //!   drain re-emits them in deterministic order.
 
@@ -76,6 +78,7 @@ trait Runtime {
     fn snapshot_cached(&mut self) -> (Arc<LiveSnapshot>, bool);
     fn epoch(&mut self) -> u64;
     fn drain(&mut self) -> Vec<EmittedEpisode>;
+    fn pending(&mut self) -> Vec<EmittedEpisode>;
     fn requeue(&mut self, episodes: Vec<EmittedEpisode>);
     fn take_finished(&mut self) -> usize;
 }
@@ -92,6 +95,9 @@ impl Runtime for ShardedEngine {
     }
     fn drain(&mut self) -> Vec<EmittedEpisode> {
         ShardedEngine::drain(self)
+    }
+    fn pending(&mut self) -> Vec<EmittedEpisode> {
+        self.pending_episodes()
     }
     fn requeue(&mut self, episodes: Vec<EmittedEpisode>) {
         self.requeue_pending(episodes);
@@ -113,6 +119,9 @@ impl Runtime for ParallelEngine {
     }
     fn drain(&mut self) -> Vec<EmittedEpisode> {
         ParallelEngine::drain(self)
+    }
+    fn pending(&mut self) -> Vec<EmittedEpisode> {
+        self.pending_episodes()
     }
     fn requeue(&mut self, episodes: Vec<EmittedEpisode>) {
         self.requeue_pending(episodes);
@@ -159,24 +168,30 @@ fn check_cache_contract(engine: &mut impl Runtime) {
         "the rebuilt snapshot sees the newly opened visits"
     );
 
-    // Drain-with-episodes invalidates (pending rides the snapshot);
-    // an empty drain afterwards does not.
+    // A drain takes the pending pool, which no snapshot carries: the
+    // cache stays warm and the epoch stays put, empty drain or not.
+    let pending = engine.pending();
     let drained = engine.drain();
     assert!(!drained.is_empty(), "closed visits emitted episodes");
+    assert_eq!(pending, drained, "pending_episodes previews the drain");
     let (post_drain, hit) = engine.snapshot_cached();
-    assert!(!hit, "a non-empty drain changes snapshot-visible state");
-    let e2 = engine.epoch();
-    assert!(e2 > e1);
+    assert!(hit, "a drain must not invalidate the snapshot cache");
+    assert!(Arc::ptr_eq(&second, &post_drain));
+    assert_eq!(engine.epoch(), e1, "a drain must not advance the epoch");
     assert!(engine.drain().is_empty());
+    assert!(engine.pending().is_empty());
     let (after_empty, hit) = engine.snapshot_cached();
     assert!(hit, "an empty drain must not invalidate");
     assert!(Arc::ptr_eq(&post_drain, &after_empty));
 
-    // Requeue: the undo of a drain — invalidates, and the next drain
-    // re-emits exactly what went back, in deterministic order.
+    // Requeue: the undo of a drain — the cache stays warm too, and the
+    // next drain re-emits exactly what went back, in deterministic
+    // order.
     engine.requeue(drained.clone());
-    let (_, hit) = engine.snapshot_cached();
-    assert!(!hit, "requeued episodes are snapshot-visible again");
+    let (after_requeue, hit) = engine.snapshot_cached();
+    assert!(hit, "requeued episodes are not snapshot-visible");
+    assert!(Arc::ptr_eq(&post_drain, &after_requeue));
+    assert_eq!(engine.epoch(), e1, "a requeue must not advance the epoch");
     let redrained = engine.drain();
     let mut expect = drained;
     expect.sort_by_key(EmittedEpisode::sort_key);

@@ -23,8 +23,8 @@ use sitm_query::{federated_count, Predicate, TrajectorySource};
 use sitm_space::CellRef;
 use sitm_store::{CheckpointFrame, LogStore};
 use sitm_stream::{
-    dataset_events, resume_parallel_from_log, EngineConfig, LiveSnapshot, ParallelEngine,
-    ShardedEngine, StreamEvent, VisitKey,
+    dataset_events, resume_parallel_from_log, EmittedEpisode, EngineConfig, LiveSnapshot,
+    ParallelEngine, ShardedEngine, StreamEvent, VisitKey,
 };
 
 fn label(s: &str) -> AnnotationSet {
@@ -129,15 +129,16 @@ fn query_predicates(model: &LouvreModel, events: &[StreamEvent]) -> Vec<Predicat
 }
 
 /// Checks one engine's snapshot against the batch prefix reference at
-/// one cut point. `drained` is what the engine handed out right after
-/// the snapshot; it must equal the snapshot's pending set
-/// (snapshot-consistent drain).
+/// one cut point. `pending` is the engine's `pending_episodes()` taken
+/// at the snapshot's cut and `drained` what the engine handed out right
+/// after; they must be equal (snapshot-consistent drain).
 fn check_cut(
     model: &LouvreModel,
     events: &[StreamEvent],
     cut: usize,
     snapshot: &LiveSnapshot,
-    drained: &[sitm_stream::EmittedEpisode],
+    pending: &[EmittedEpisode],
+    drained: &[EmittedEpisode],
 ) {
     let reference = batch_prefixes(&events[..cut]);
     assert_eq!(
@@ -193,8 +194,7 @@ fn check_cut(
         );
     }
     assert_eq!(
-        drained,
-        snapshot.pending.as_slice(),
+        drained, pending,
         "cut {cut}: drain was not snapshot-consistent"
     );
 }
@@ -226,12 +226,14 @@ proptest! {
             previous = cut;
 
             let snapshot = sequential.live_snapshot();
+            let pending = sequential.pending_episodes();
             let drained = sequential.drain();
-            check_cut(&model, &events, cut, &snapshot, &drained);
+            check_cut(&model, &events, cut, &snapshot, &pending, &drained);
 
             let snapshot = parallel.live_snapshot();
+            let pending = parallel.pending_episodes();
             let parallel_drained = parallel.drain();
-            check_cut(&model, &events, cut, &snapshot, &parallel_drained);
+            check_cut(&model, &events, cut, &snapshot, &pending, &parallel_drained);
             prop_assert_eq!(drained, parallel_drained, "engines drained differently");
         }
     }
@@ -253,8 +255,9 @@ fn empty_shards_are_invisible_to_live_queries() {
     let snapshot = engine.live_snapshot();
     assert_eq!(snapshot.visits.len(), 1);
     assert_eq!(snapshot.count_matching(&Predicate::True), 1);
+    let pending = engine.pending_episodes();
     let drained = engine.drain();
-    check_cut(&model, &events, cut, &snapshot, &drained);
+    check_cut(&model, &events, cut, &snapshot, &pending, &drained);
     // After the close the live view empties.
     engine.ingest_all(events[events.len() - 1..].iter().cloned());
     let empty = engine.live_snapshot();
@@ -322,6 +325,7 @@ fn single_hot_shard_skew_stays_consistent() {
     let cut = events.len();
     engine.ingest_all(events.iter().cloned());
     let snapshot = engine.live_snapshot();
+    let pending = engine.pending_episodes();
     let drained = engine.drain();
     assert_eq!(snapshot.visits.len(), 6, "all six visits still open");
 
@@ -339,7 +343,62 @@ fn single_hot_shard_skew_stays_consistent() {
         1,
         "only the hot visit (4000s dwell) clears 450s; cold visits dwell 99s"
     );
-    assert_eq!(drained, snapshot.pending);
+    assert_eq!(drained, pending);
+}
+
+/// The undrained pool stays out of the live cut on both runtimes. A
+/// cut taken after N undrained episodes equals the cut of an
+/// identically fed engine that drained first, so it carries none of
+/// them. A later drain (a subscriber's barrier) still hands out all N,
+/// once, in drain order, and the parallel runtime's
+/// `engine.pending_episodes` gauge shows the pool in between.
+#[test]
+fn cuts_skip_the_undrained_pool_and_a_later_drain_still_delivers_it() {
+    let model = build_louvre();
+    let dataset = small_dataset(2024, 20, 6);
+    // Every third visit never closes, so the cut has open prefixes
+    // beside the episodes the closed visits emitted.
+    let events: Vec<StreamEvent> = dataset_events(&model, &dataset)
+        .into_iter()
+        .filter(|e| !matches!(e, StreamEvent::VisitClosed { visit, .. } if visit.0 % 3 == 0))
+        .collect();
+    let feed = &events[..];
+
+    let mut drained_first = ShardedEngine::new(config(&model, 3)).unwrap();
+    drained_first.ingest_all(feed.iter().cloned());
+    let expected = drained_first.drain();
+    assert!(!expected.is_empty(), "closed visits emitted episodes");
+    let reference = drained_first.live_snapshot();
+    assert!(!reference.visits.is_empty(), "some visits are still open");
+
+    let mut sequential = ShardedEngine::new(config(&model, 3)).unwrap();
+    sequential.ingest_all(feed.iter().cloned());
+    let cut = sequential.live_snapshot();
+    assert_eq!(*cut, *reference, "the sequential cut carried the pool");
+    assert_eq!(sequential.pending_episodes(), expected);
+    assert_eq!(sequential.drain(), expected, "the drain lost the pool");
+    assert!(sequential.drain().is_empty(), "delivered exactly once");
+
+    let registry = sitm_obs::MetricsRegistry::new();
+    let gauge = registry.gauge("engine.pending_episodes");
+    let mut drained_first =
+        ParallelEngine::new(config(&model, 3).with_metrics(registry.clone())).unwrap();
+    drained_first.ingest_all(feed.iter().cloned());
+    assert_eq!(drained_first.drain(), expected);
+    assert_eq!(gauge.get(), 0, "a drain empties the gauged pool");
+    let reference = drained_first.live_snapshot();
+    drop(drained_first);
+
+    let mut parallel =
+        ParallelEngine::new(config(&model, 3).with_metrics(registry.clone())).unwrap();
+    parallel.ingest_all(feed.iter().cloned());
+    let cut = parallel.live_snapshot();
+    assert_eq!(*cut, *reference, "the parallel cut carried the pool");
+    assert_eq!(gauge.get(), expected.len() as i64, "the pool is gauged");
+    assert_eq!(parallel.pending_episodes(), expected);
+    assert_eq!(parallel.drain(), expected, "the drain lost the pool");
+    assert!(parallel.drain().is_empty(), "delivered exactly once");
+    assert_eq!(gauge.get(), 0);
 }
 
 #[test]

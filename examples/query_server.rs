@@ -188,6 +188,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(stats.open_visits, 3);
     assert_eq!(stats.warehouse_trajectories, 12);
 
+    // The analytics report rides its own op: per-cell and per-period
+    // totals over live ∪ warehouse, merged from the segments' rollup
+    // frames without decoding a trajectory.
+    let rollup = client.rollup()?;
+    let busiest = rollup
+        .cells
+        .iter()
+        .max_by_key(|(_, agg)| agg.trajectories)
+        .expect("the warehouse has per-cell rollups");
+    println!(
+        "rollup: {} cells, {} periods of {}s; busiest cell seen by {} trajectories",
+        rollup.cells.len(),
+        rollup.periods.len(),
+        rollup.period_seconds,
+        busiest.1.trajectories
+    );
+
     // The observability plane: one snapshot carries every tier's
     // instruments — ingest counts from the engine, flush/segment counts
     // from the warehouse, pruning counts from the query layer, and the
