@@ -1,26 +1,11 @@
-//! Streaming-ingestion benchmarks: event throughput by shard count
-//! (sequential vs work-stealing parallel), skewed-ingest behaviour
-//! under Zipf visit/cell distributions, live-query latency (indexed vs
-//! scan), and checkpoint/restore latency.
+//! Streaming-ingestion benchmarks: event throughput by shard count,
+//! skewed ingest under Zipf visit/cell distributions, live-query
+//! latency (indexed vs scan), and checkpoint/restore latency.
 //!
-//! **Parallel speedup caveat:** parallel-over-sequential wins only
-//! materialize with ≥ 2 physical cores. On a single-core host
-//! (`nproc == 1` — the CI container this repo grew up in) the workers
-//! time-slice one CPU, so `parallel/*` and `skewed_ingest/parallel_*`
-//! land at ~0.6–1.0× sequential (scheduler overhead, no concurrency to
-//! win); that is hardware-bound, not a runtime defect. What the skewed
-//! group demonstrates *regardless of cores* is the routing change: the
-//! old static hash router pinned every visit of a hot shard to one
-//! worker, so `skewed/parallel_4` used to collapse to one busy worker
-//! (≈ `parallel_1`); the work-stealing router lets idle workers take
-//! whole cold visits, so on a multi-core box `skewed/parallel_4`
-//! tracks the uniform `parallel_4` instead. The differential tests
-//! prove the output identical either way; run this bench on a
-//! multi-core box to see the scaling. The `live_query` group compares
-//! `count_matching` (live-index candidates + re-check) against
-//! `count_matching_scan` (predicate over every open prefix); the
-//! indexed path is the ≥ 5× win the live index exists for, and is
-//! core-count independent.
+//! The `live_query` group compares `count_matching` (live-index
+//! candidates + re-check) against `count_matching_scan` (predicate over
+//! every open prefix); the indexed path is the ≥ 5× win the live index
+//! exists for.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -30,7 +15,7 @@ use sitm_core::Duration;
 use sitm_louvre::{build_louvre, zone_key};
 use sitm_query::Predicate;
 use sitm_store::{CheckpointFrame, LogStore};
-use sitm_stream::{resume_from_log, ParallelEngine, ShardedEngine, StreamEvent};
+use sitm_stream::{resume_from_log, ShardedEngine, StreamEvent};
 
 fn bench_ingest_throughput(c: &mut Criterion) {
     let model = build_louvre();
@@ -54,43 +39,7 @@ fn bench_ingest_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-/// Sequential vs parallel ingest on the same 500-visit workload. The
-/// parallel engine is constructed inside the timed body on purpose:
-/// worker spawn + join is part of what a deployment pays per engine, and
-/// excluding it would flatter small feeds.
-fn bench_parallel_ingest(c: &mut Criterion) {
-    let model = build_louvre();
-    let events = feed(&model);
-    let mut group = c.benchmark_group("stream/parallel_ingest");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(events.len() as u64));
-    group.bench_function("sequential/1", |b| {
-        b.iter(|| {
-            let mut engine = ShardedEngine::new(config(&model, 1)).expect("engine");
-            engine.ingest_all(black_box(events.iter().cloned()));
-            engine.finish().len()
-        });
-    });
-    for workers in [1usize, 2, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("parallel", workers),
-            &workers,
-            |b, &workers| {
-                b.iter(|| {
-                    let mut engine = ParallelEngine::new(config(&model, workers)).expect("engine");
-                    engine.ingest_all(black_box(events.iter().cloned()));
-                    engine.finish().len()
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
-/// Skewed ingest: one dominant visit plus a cold tail. The old static
-/// hash router degraded `parallel/*` here to single-worker throughput;
-/// work-stealing keeps the cold tail flowing through idle workers (see
-/// the module header for single-core caveats).
+/// Skewed ingest: one dominant visit plus a cold tail.
 fn bench_skewed_ingest(c: &mut Criterion) {
     let model = build_louvre();
     let events = skewed_feed(400, 20_000, 1.2);
@@ -104,19 +53,6 @@ fn bench_skewed_ingest(c: &mut Criterion) {
             engine.finish().len()
         });
     });
-    for workers in [1usize, 2, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("parallel", workers),
-            &workers,
-            |b, &workers| {
-                b.iter(|| {
-                    let mut engine = ParallelEngine::new(config(&model, workers)).expect("engine");
-                    engine.ingest_all(black_box(events.iter().cloned()));
-                    engine.finish().len()
-                });
-            },
-        );
-    }
     group.finish();
 }
 
@@ -129,7 +65,7 @@ fn bench_live_query(c: &mut Criterion) {
         .space
         .resolve(&zone_key(60886))
         .expect("zone resolves");
-    let mut engine = ParallelEngine::new(config(&model, 4).with_live_queries()).expect("engine");
+    let mut engine = ShardedEngine::new(config(&model, 4).with_live_queries()).expect("engine");
     engine.ingest_all(events[..events.len() / 2].iter().cloned());
 
     let mut group = c.benchmark_group("stream/live_query");
@@ -155,7 +91,7 @@ fn bench_live_query(c: &mut Criterion) {
         .cloned()
         .collect();
     let mut open_engine =
-        ParallelEngine::new(config(&model, 4).with_live_queries()).expect("engine");
+        ShardedEngine::new(config(&model, 4).with_live_queries()).expect("engine");
     open_engine.ingest_all(no_closes);
     let open_snapshot = open_engine.live_snapshot();
     let target = open_snapshot.visits[open_snapshot.visits.len() / 2]
@@ -207,7 +143,7 @@ fn bench_checkpoint_restore(c: &mut Criterion) {
             &shards,
             |b, &shards| {
                 b.iter(|| {
-                    let (engine, _log, _report) =
+                    let (mut engine, _log, _report) =
                         resume_from_log(config(&model, shards), &path).expect("restore");
                     black_box(engine.stats().open_visits)
                 });
@@ -221,7 +157,6 @@ fn bench_checkpoint_restore(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_ingest_throughput,
-    bench_parallel_ingest,
     bench_skewed_ingest,
     bench_live_query,
     bench_checkpoint_restore

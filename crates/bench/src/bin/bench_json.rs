@@ -60,11 +60,7 @@
 //! the pipeline counters (events ingested, spills, segments built,
 //! zone/Bloom pruning) the run accumulated.
 //!
-//! The wall-clock numbers carry the same caveat as `bench_stream`: on a
-//! single-core container the parallel groups measure scheduler overhead
-//! with no cores to win, so compare `skewed_ingest/parallel_4` against
-//! `skewed_ingest/sequential_1` only on multi-core hosts. The
-//! `live_query/indexed_count` vs `live_query/scan_count` ratio (≥ 5×
+//! The `live_query/indexed_count` vs `live_query/scan_count` ratio (≥ 5×
 //! acceptance target) and the `warehouse/pruned_count` vs
 //! `warehouse/scan_count` ratio (pruned must win on the selective
 //! predicate) are core-count independent. The `serve/*` groups time
@@ -81,7 +77,7 @@ use sitm_core::SemanticTrajectory;
 use sitm_louvre::build_louvre;
 use sitm_query::{Predicate, Query, SegmentedDb, SortKey};
 use sitm_store::warehouse::WarehouseConfig;
-use sitm_stream::{Flusher, ParallelEngine, ShardedEngine, StreamEvent};
+use sitm_stream::{Flusher, ShardedEngine, StreamEvent};
 
 /// Median-of-runs wall-clock timer: ns per invocation of `body`.
 fn time_ns<T>(runs: usize, mut body: impl FnMut() -> T) -> u64 {
@@ -139,7 +135,7 @@ fn main() {
     let skewed = skewed_feed(400, 20_000, 1.2);
     let mut results: Vec<(String, u64)> = Vec::new();
 
-    // Uniform ingest, sequential vs work-stealing parallel.
+    // Uniform ingest.
     results.push((
         "stream/ingest/sequential_8".into(),
         time_ns(5, || {
@@ -148,18 +144,8 @@ fn main() {
             engine.finish().len()
         }),
     ));
-    for workers in [1usize, 4] {
-        results.push((
-            format!("stream/parallel_ingest/parallel_{workers}"),
-            time_ns(5, || {
-                let mut engine = ParallelEngine::new(config(&model, workers)).expect("engine");
-                engine.ingest_all(louvre.iter().cloned());
-                engine.finish().len()
-            }),
-        ));
-    }
 
-    // Zipf-skewed ingest: the work-stealing router's target case.
+    // Zipf-skewed ingest: one dominant visit plus a cold tail.
     results.push((
         "stream/skewed_ingest/sequential_1".into(),
         time_ns(5, || {
@@ -168,16 +154,6 @@ fn main() {
             engine.finish().len()
         }),
     ));
-    for workers in [1usize, 4] {
-        results.push((
-            format!("stream/skewed_ingest/parallel_{workers}"),
-            time_ns(5, || {
-                let mut engine = ParallelEngine::new(config(&model, workers)).expect("engine");
-                engine.ingest_all(skewed.iter().cloned());
-                engine.finish().len()
-            }),
-        ));
-    }
 
     // Live queries at 500-visit scale: all visits held open (closes
     // stripped) so the live population is the full day, indexed vs scan.
@@ -186,7 +162,7 @@ fn main() {
         .filter(|e| !matches!(e, StreamEvent::VisitClosed { .. }))
         .cloned()
         .collect();
-    let mut engine = ParallelEngine::new(config(&model, 4).with_live_queries()).expect("engine");
+    let mut engine = ShardedEngine::new(config(&model, 4).with_live_queries()).expect("engine");
     engine.ingest_all(no_closes);
     let snapshot = engine.live_snapshot();
     // The flagship selective live query — "where is this visitor right
@@ -688,8 +664,6 @@ fn main() {
         let final_metrics = client.metrics().expect("final metrics");
         for name in [
             "engine.events_ingested",
-            "engine.visits_routed",
-            "engine.visits_stolen",
             "flush.spills",
             "store.segments_built",
             "store.segments_compacted",

@@ -9,10 +9,9 @@
 //!
 //! The acceptance shape this binary demonstrates: N ≥ 4 concurrent
 //! clients ingesting into and querying one server, with a final
-//! consistency check (served totals == what the clients sent). On a
-//! single-core container the numbers measure protocol + scheduler
-//! overhead; rerun on a multi-core host for throughput that reflects
-//! the engine's parallelism.
+//! consistency check (served totals == what the clients sent). Ingest
+//! serializes on the server's engine lock, so extra clients add query
+//! concurrency, not ingest throughput.
 
 use std::time::Instant;
 

@@ -60,9 +60,8 @@ pub fn stream_config(model: &LouvreModel, shards: usize) -> EngineConfig {
 }
 
 /// A Zipf-skewed synthetic feed: visit v's event budget is proportional
-/// to `1 / (v + 1)^s`, so visit 0 dominates (the tour-group device that
-/// used to saturate one worker under the static hash router) while
-/// hundreds of cold visits trickle. Cells are skewed too.
+/// to `1 / (v + 1)^s`, so visit 0 dominates (a tour group's shared
+/// device) while hundreds of cold visits trickle. Cells are skewed too.
 /// Deterministic — no RNG needed.
 pub fn skewed_feed(visits: usize, total_events: usize, s: f64) -> Vec<StreamEvent> {
     let cell = |n: usize| CellRef::new(LayerIdx::from_index(0), NodeId::from_index(n));

@@ -20,9 +20,9 @@ use crate::trajectory::{SemanticTrajectory, TrajectoryError};
 
 /// A predicate over individual presence intervals, with combinators.
 ///
-/// The closure is `Send + Sync` so predicate tables can be shared across
-/// the worker threads of a parallel ingestion engine (one immutable table
-/// behind an `Arc`, evaluated concurrently by every shard).
+/// The closure is `Send + Sync` so a predicate table can be shared
+/// across threads — an engine behind a server's mutex is driven by
+/// whichever session thread holds the lock.
 pub struct IntervalPredicate {
     test: Box<dyn Fn(&PresenceInterval) -> bool + Send + Sync>,
     /// Human-readable description, carried into diagnostics.

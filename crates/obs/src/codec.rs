@@ -304,7 +304,7 @@ mod tests {
         registry.counter("serve.requests.query").add(1_234);
         registry.counter("engine.events_ingested").add(999_999);
         registry.gauge("serve.sessions_active").set(-3);
-        registry.gauge("engine.queue_depth.w0").set(17);
+        registry.gauge("engine.pending_episodes").set(17);
         let h = registry.histogram("serve.handle_ns.query");
         for v in [0, 1, 7, 130, 4_096, 271_000, u64::MAX] {
             h.record(v);

@@ -4,7 +4,7 @@
 //! Health answers the questions an operator (or a federation peer
 //! deciding where to route) asks *before* reaching for metrics or
 //! traces: is the process up, how far behind are the tiers (flush
-//! backlog, worker queue depths, checkpoint age), how loaded is the
+//! backlog, checkpoint age), how loaded is the
 //! serve edge (sessions, subscribers), and how fast is ingest moving
 //! right now (derived from the [`crate::timeseries`] sampler's last
 //! two frames, not a since-boot average).
@@ -19,8 +19,10 @@
 
 use crate::codec::{put_u64, Reader, SnapshotCodecError};
 
-/// The only health-codec version this build reads or writes.
-pub const HEALTH_VERSION: u8 = 1;
+/// The only health-codec version this build reads or writes. Version 2
+/// dropped the per-worker ingest queue depths: an acknowledged batch is
+/// an applied batch, so the engine has no queue to report.
+pub const HEALTH_VERSION: u8 = 2;
 
 /// A point-in-time liveness summary of one serving process.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -38,9 +40,6 @@ pub struct HealthReport {
     /// Trajectories fenced but not yet flushed to the warehouse — the
     /// spill tier's lag.
     pub flush_backlog_trajectories: u64,
-    /// Per-worker pending-event queue depths in the live engine, in
-    /// worker order — the ingest tier's lag.
-    pub worker_queue_depths: Vec<u64>,
     /// Milliseconds since the last successful checkpoint; `None` if
     /// none has completed yet.
     pub last_checkpoint_age_ms: Option<u64>,
@@ -71,15 +70,9 @@ impl HealthReport {
             "sessions {} active / {} accepted   subscribers {}\n",
             self.sessions_active, self.sessions_accepted, self.subscribers_active,
         ));
-        let depths: Vec<String> = self
-            .worker_queue_depths
-            .iter()
-            .map(|d| d.to_string())
-            .collect();
         out.push_str(&format!(
-            "lag: flush backlog {} trajectories   worker queues [{}]\n",
+            "lag: flush backlog {} trajectories\n",
             self.flush_backlog_trajectories,
-            depths.join(" "),
         ));
         out.push_str(&format!(
             "warehouse {} segments / {} trajectories   checkpoint {}\n",
@@ -98,10 +91,9 @@ impl HealthReport {
 /// Appends the versioned encoding of `report`:
 ///
 /// ```text
-/// version: u8 (= 1)
+/// version: u8 (= 2)
 /// uptime_ms, epoch, sessions_accepted, sessions_active,
 /// subscribers_active, flush_backlog_trajectories: varints
-/// worker_queue_depths: count, then varints
 /// last_checkpoint_age_ms: 0 | (1, varint)
 /// warehouse_segments, warehouse_trajectories, traces_recorded,
 /// events_per_sec_milli: varints
@@ -114,10 +106,6 @@ pub fn encode_health(buf: &mut Vec<u8>, report: &HealthReport) {
     put_u64(buf, report.sessions_active);
     put_u64(buf, report.subscribers_active);
     put_u64(buf, report.flush_backlog_trajectories);
-    put_u64(buf, report.worker_queue_depths.len() as u64);
-    for &depth in &report.worker_queue_depths {
-        put_u64(buf, depth);
-    }
     match report.last_checkpoint_age_ms {
         None => buf.push(0),
         Some(ms) => {
@@ -151,11 +139,6 @@ pub fn decode_health(bytes: &[u8]) -> Result<HealthReport, SnapshotCodecError> {
     let sessions_active = r.u64()?;
     let subscribers_active = r.u64()?;
     let flush_backlog_trajectories = r.u64()?;
-    let n = r.count(1)?;
-    let mut worker_queue_depths = Vec::with_capacity(n);
-    for _ in 0..n {
-        worker_queue_depths.push(r.u64()?);
-    }
     let last_checkpoint_age_ms = match r.u8()? {
         0 => None,
         1 => Some(r.u64()?),
@@ -175,7 +158,6 @@ pub fn decode_health(bytes: &[u8]) -> Result<HealthReport, SnapshotCodecError> {
         sessions_active,
         subscribers_active,
         flush_backlog_trajectories,
-        worker_queue_depths,
         last_checkpoint_age_ms,
         warehouse_segments,
         warehouse_trajectories,
@@ -196,7 +178,6 @@ mod tests {
             sessions_active: 3,
             subscribers_active: 1,
             flush_backlog_trajectories: 57,
-            worker_queue_depths: vec![0, 12, 3, 0],
             last_checkpoint_age_ms: Some(4_200),
             warehouse_segments: 9,
             warehouse_trajectories: 15_000,
@@ -268,7 +249,6 @@ mod tests {
             "3 active / 18 accepted",
             "subscribers 1",
             "backlog 57",
-            "[0 12 3 0]",
             "9 segments / 15000 trajectories",
             "4s ago",
             "traces recorded 230",

@@ -559,7 +559,7 @@ mod tests {
     fn frame(at_ms: u64, events: u64, depth: i64, rtt: &[u64]) -> SeriesFrame {
         let registry = MetricsRegistry::new();
         registry.counter("engine.events_ingested").add(events);
-        registry.gauge("engine.queue_depth.w0").set(depth);
+        registry.gauge("engine.pending_episodes").set(depth);
         let hist = registry.histogram("serve.query.handle_ns");
         for &v in rtt {
             hist.record(v);

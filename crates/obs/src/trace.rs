@@ -37,9 +37,9 @@
 //!   bit-flipped at every byte offset.
 //!
 //! Spans record on the thread that runs the request; work a request
-//! *delegates* to other threads (the parallel engine's workers) is
-//! attributed to the span that waits for it, which is exactly the
-//! serving story: the session thread blocks on the barrier.
+//! *delegates* to other threads is attributed to the span that waits
+//! for it, which is exactly the serving story: the session thread
+//! blocks until the work is done.
 
 use std::borrow::Cow;
 use std::cell::RefCell;

@@ -4,7 +4,7 @@
 //!
 //! The network tier: a concurrent TCP server (and its blocking client)
 //! exposing the full ingest → query pipeline — [`sitm_stream`]'s
-//! work-stealing engine, live snapshots, and the
+//! sharded engine, live snapshots, and the
 //! [`sitm_query::SegmentedDb`] warehouse — to remote applications. This
 //! is the layer the paper's model exists to feed: stays, moves, and
 //! annotated episodes *served* to clients (the service surface the
@@ -24,9 +24,8 @@
 //!   ([`sitm_query::wire::WireQuery`]), plans, counters-only stats,
 //!   rollups, checkpoints, graceful shutdown;
 //! * [`server`] — [`Server`]: a listener thread plus a bounded
-//!   session-worker pool (the parallel engine's bounded-channel
-//!   backpressure idiom at the accept layer) around one shared
-//!   [`sitm_stream::ParallelEngine`] and one
+//!   session-worker pool (bounded-channel backpressure at the accept
+//!   layer) around one shared [`sitm_stream::ShardedEngine`] and one
 //!   [`sitm_stream::Flusher`]-fed warehouse;
 //! * [`client`] — [`Client`]: blocking, reconnect-safe on the send
 //!   side, one session per instance (run one per thread to load a
@@ -35,7 +34,7 @@
 //! ## The served pipeline
 //!
 //! ```text
-//! client ─IngestBatch─▶ ParallelEngine (live tier: open visits)
+//! client ─IngestBatch─▶ ShardedEngine (live tier: open visits)
 //!                         │ close + fence          │ live_snapshot()
 //!                         ▼                        ▼
 //!                  finished backlog         QueryFederated ══▶ results
@@ -45,12 +44,20 @@
 //!                  (immutable segments, zone maps + Blooms, manifest)
 //! ```
 //!
+//! Acknowledged means applied: the server applies every event of an
+//! `IngestBatch` (an engine `flush`) before it answers `Ingested`, so
+//! any request that follows on any session — `Stats`, a query, a
+//! `Checkpoint` — sees the whole batch.
+//!
 //! Failure containment is per-session: a torn frame, a hostile length,
 //! or an undecodable payload costs exactly one connection (answered
 //! with [`Response::Error`] when the transport still stands) — the
 //! listener, the other sessions, and the engine underneath keep
 //! serving. `tests/wire_torture.rs` tears a request at every byte
-//! offset against a live server to pin this down.
+//! offset against a live server to pin this down. A handler that
+//! panics (a query that hits a corrupt segment body) ends only its own
+//! session too: the session worker survives, tears the session down,
+//! and counts it in `serve.sessions_panicked`.
 //!
 //! ## Observability
 //!

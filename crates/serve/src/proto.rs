@@ -143,7 +143,7 @@ pub enum Request {
     /// [`Response::Unsubscribed`] acknowledgement.
     Unsubscribe,
     /// A point-in-time liveness summary: uptime, epoch, tier lag
-    /// (flush backlog, worker queues, checkpoint age), session load,
+    /// (flush backlog, checkpoint age), session load,
     /// and the current ingest rate. Cheap enough to poll every second.
     Health,
     /// The most recent `limit` trace trees from the server's recorder
@@ -325,7 +325,7 @@ pub struct ExplainReport {
     /// Cumulative `query.row_cache_misses`.
     pub row_cache_misses: u64,
     /// Nanoseconds the server spent cutting the live snapshot for this
-    /// plan (quiesce + open-visit clone) — the per-stage timing that
+    /// plan (flush + open-visit clone) — the per-stage timing that
     /// decomposes a federated query's latency.
     pub snapshot_build_ns: u64,
     /// Nanoseconds spent planning/evaluating against the snapshot and
@@ -333,7 +333,7 @@ pub struct ExplainReport {
     pub evaluate_ns: u64,
     /// Whether the live snapshot this plan consulted was served from
     /// the server's epoch cache (`snapshot_build_ns` is then the cache
-    /// lookup, not a quiesce).
+    /// lookup, not a cut).
     pub snapshot_cached: bool,
 }
 
@@ -896,7 +896,6 @@ mod tests {
             sessions_active: 2,
             subscribers_active: 1,
             flush_backlog_trajectories: 30,
-            worker_queue_depths: vec![0, 5],
             last_checkpoint_age_ms: Some(800),
             warehouse_segments: 3,
             warehouse_trajectories: 700,

@@ -8,18 +8,18 @@
 //!                                          frame ⇄ request │
 //!                                                          ▼
 //!                      ┌─────── Core (Mutex) ────────┐ ┌─ Warehouse (RwLock) ─┐
-//!                      │ ParallelEngine (ingest,     │ │ Flusher → SegmentedDb│
-//!                      │   epoch, cached snapshot,   │ │  (readers share;     │
-//!                      │   drain → subscriptions)    │ │   checkpoint writes) │
+//!                      │ ShardedEngine (ingest +     │ │ Flusher → SegmentedDb│
+//!                      │   flush before the ack,     │ │  (readers share;     │
+//!                      │   epoch, cached snapshot,   │ │   checkpoint writes) │
+//!                      │   drain → subscriptions)    │ │                      │
 //!                      └─────────────────────────────┘ └──────────────────────┘
 //! ```
 //!
 //! * **Listener** — one thread accepting connections and handing each
-//!   socket to a **bounded** session queue (`std::sync::mpsc::sync_channel`,
-//!   the same bounded-channel backpressure idiom the parallel engine's
-//!   router uses): when every session worker is busy and the backlog is
-//!   full, `accept`ed clients wait in the queue send rather than
-//!   ballooning threads.
+//!   socket to a **bounded** session queue (`std::sync::mpsc::sync_channel`):
+//!   when every session worker is busy and the backlog is full,
+//!   `accept`ed clients wait in the queue send rather than ballooning
+//!   threads.
 //! * **Session workers** — a fixed pool. Each worker serves one
 //!   connection at a time: read frame → decode → execute against the
 //!   shared core → encode → write frame, until the client closes
@@ -28,9 +28,12 @@
 //!   [`Response::Error`] when the transport still works, closes that
 //!   one connection, and moves on — the listener and every other
 //!   session stay up (`tests/wire_torture.rs` tears frames at every
-//!   byte offset to pin this).
+//!   byte offset to pin this). A panic while serving (a query that
+//!   hydrates a corrupt segment body fails stop) is contained the same
+//!   way: the worker catches it, tears the session down, counts it in
+//!   `serve.sessions_panicked`, and takes the next connection.
 //! * **Core + warehouse** — the mutable pipeline state splits in two.
-//!   The core mutex guards the work-stealing [`ParallelEngine`]; the
+//!   The core mutex guards the [`ShardedEngine`]; the
 //!   [`Flusher`]-fed [`sitm_query::SegmentedDb`] warehouse sits behind
 //!   its own `RwLock`, shared by query readers and written only by
 //!   checkpoints. Only ingest, checkpoint, shutdown, and subscription
@@ -41,6 +44,12 @@
 //!   and back-to-back queries between ingest barriers share one
 //!   snapshot (`serve.snapshot_cache_hits`). The monitor ops (`Stats`,
 //!   `Health`) never cut a snapshot: they read counters only.
+//! * **Acknowledged == applied** — `IngestBatch` flushes the engine
+//!   before it answers, so an acknowledged batch is an applied batch:
+//!   `Stats`, snapshot cuts and checkpoints that follow the ack find
+//!   nothing buffered and never pay for a previous batch's apply. The
+//!   session yields after the apply, so its cost lands on the ack and
+//!   not on the client's next request.
 //! * **Subscriptions** — a session can register a continuous query.
 //!   While at least one subscription exists, every non-empty ingest
 //!   barrier drains the engine's emitted-episode backlog, stamps the new
@@ -78,7 +87,7 @@ use sitm_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use sitm_query::{Predicate, SegmentedDb, TrajectorySource};
 use sitm_store::segment::FRAME_OVERHEAD;
 use sitm_store::warehouse::{SegmentRollup, WarehouseConfig, DEFAULT_ROLLUP_PERIOD_SECONDS};
-use sitm_stream::{EmittedEpisode, EngineConfig, Flusher, LiveSnapshot, ParallelEngine};
+use sitm_stream::{EmittedEpisode, EngineConfig, Flusher, LiveSnapshot, ShardedEngine};
 
 use crate::proto::{
     decode_op, encode_response, ExplainReport, Op, Request, Response, ServerStats, StatsRollup,
@@ -92,7 +101,7 @@ pub struct ServerConfig {
     /// Address to bind (`127.0.0.1:0` picks an ephemeral port — the
     /// test/bench default).
     pub bind: SocketAddr,
-    /// Engine configuration for the shared [`ParallelEngine`]. The
+    /// Engine configuration for the shared [`ShardedEngine`]. The
     /// server forces `with_warehouse()` on it (live queries + finished
     /// retention) — the full pipeline is the point of serving.
     pub engine: EngineConfig,
@@ -274,6 +283,9 @@ struct ServeMetrics {
     bytes_in: Arc<Counter>,
     bytes_out: Arc<Counter>,
     sessions_active: Arc<Gauge>,
+    /// Sessions ended by a panic while serving (contained: the worker
+    /// survives and takes the next connection).
+    sessions_panicked: Arc<Counter>,
     /// Federated-query latency decomposition: cutting the live
     /// snapshot vs evaluating against it + the warehouse.
     snapshot_build_ns: Arc<Histogram>,
@@ -314,6 +326,7 @@ impl ServeMetrics {
             bytes_in: registry.counter("serve.bytes_in"),
             bytes_out: registry.counter("serve.bytes_out"),
             sessions_active: registry.gauge("serve.sessions_active"),
+            sessions_panicked: registry.counter("serve.sessions_panicked"),
             snapshot_build_ns: registry.histogram("serve.snapshot_build_ns"),
             evaluate_ns: registry.histogram("serve.evaluate_ns"),
             explain_snapshot_ns: registry.histogram("serve.explain_snapshot_ns"),
@@ -332,7 +345,7 @@ impl ServeMetrics {
 /// event. Queries never hold this lock while evaluating: they clone
 /// the engine's epoch-cached snapshot `Arc` and leave.
 struct Core {
-    engine: ParallelEngine,
+    engine: ShardedEngine,
 }
 
 /// Episodes a single subscriber may hold queued before the server
@@ -420,9 +433,6 @@ struct Shared {
     /// Milliseconds after `started` at which the last successful
     /// checkpoint (or shutdown flush) committed; `u64::MAX` = never.
     last_checkpoint_ms: AtomicU64,
-    /// `engine.queue_depth.w{i}` handles, resolved once, in worker
-    /// order — Health's per-worker ingest-lag column.
-    worker_queue_depths: Vec<Arc<Gauge>>,
 }
 
 /// A running server: listener + session-worker pool around one shared
@@ -448,16 +458,13 @@ impl Server {
             .engine
             .with_warehouse()
             .with_metrics(registry.clone());
-        let engine = ParallelEngine::new(engine_config)?;
+        let engine = ShardedEngine::new(engine_config)?;
         let (db, _report) = SegmentedDb::open(&config.warehouse_dir, config.warehouse)?;
         let db = db.with_metrics(&registry);
         let flusher = Flusher::new(db)
             .with_min_batch(config.flush_batch)
             .with_metrics(&registry);
 
-        let worker_queue_depths = (0..engine.workers())
-            .map(|i| registry.gauge(&format!("engine.queue_depth.w{i}")))
-            .collect();
         let sampler = config
             .sampler
             .map(|(period, capacity)| Sampler::start(registry.clone(), period, capacity));
@@ -477,7 +484,6 @@ impl Server {
             recorder: TraceRecorder::new(config.trace_capacity),
             sampler,
             last_checkpoint_ms: AtomicU64::new(u64::MAX),
-            worker_queue_depths,
         });
 
         let (tx, rx) = sync_channel::<TcpStream>(config.backlog.max(1));
@@ -646,6 +652,9 @@ struct SessionState {
 /// Serves one connection until the client closes, a fatal transport
 /// error occurs, or shutdown drains it. Malformed input never panics
 /// and never takes the server down — worst case, this one session ends.
+/// A panic while serving (a corrupt segment body is fail-stop at
+/// hydration) is caught here, so it too ends only this session: the
+/// teardown still runs and the worker lives on.
 fn run_session(shared: &Shared, mut stream: TcpStream, idle_poll: StdDuration) {
     let metrics = &shared.metrics;
     metrics.sessions_active.add(1);
@@ -661,7 +670,12 @@ fn run_session(shared: &Shared, mut stream: TcpStream, idle_poll: StdDuration) {
         id: shared.next_session_id.fetch_add(1, Ordering::Relaxed),
         subscription: None,
     };
-    session_loop(shared, &mut stream, idle_poll, &mut session);
+    let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        session_loop(shared, &mut stream, idle_poll, &mut session);
+    }));
+    if served.is_err() {
+        metrics.sessions_panicked.inc();
+    }
     teardown_session(shared, &mut session);
 }
 
@@ -921,7 +935,7 @@ fn acquire_read_set<'a>(
 /// advanced to, and enqueue the delta on every subscriber whose
 /// predicate does not provably reject it. Runs under the core lock;
 /// takes subscriptions after it (the documented order).
-fn notify_subscribers(shared: &Shared, engine: &mut ParallelEngine) {
+fn notify_subscribers(shared: &Shared, engine: &mut ShardedEngine) {
     let subs = shared
         .subscriptions
         .lock()
@@ -979,11 +993,27 @@ fn handle_request(shared: &Shared, request: Request, session: &mut SessionState)
             let n = events.len() as u64;
             let mut core = shared.core.lock().unwrap_or_else(|p| p.into_inner());
             core.engine.ingest_all(events);
+            // Apply the whole batch before acknowledging it: what a
+            // client was told is ingested is what every later request
+            // sees, and nothing stays buffered for Stats, a snapshot
+            // cut or a checkpoint to pay for.
+            core.engine.flush();
             // An empty batch advances no epoch, so it is no barrier:
             // a notification stamped with an unadvanced epoch would
             // break the strictly-increasing contract.
             if n > 0 {
                 notify_subscribers(shared, &mut core.engine);
+                drop(core);
+                // The apply is a CPU burst on this session's thread.
+                // Yield before the ack so that threads which became
+                // runnable meanwhile (other sessions) run now, while
+                // the client waits for this ack anyway. Without it the
+                // scheduler charges the burst to the client's next
+                // request instead (a monitor poll sent right after the
+                // ack waits behind a whole query on a busy core), and
+                // whether it does depends on how the threads happen
+                // to be spread over the cores.
+                std::thread::yield_now();
             }
             Response::Ingested { events: n }
         }
@@ -1004,7 +1034,7 @@ fn handle_request(shared: &Shared, request: Request, session: &mut SessionState)
         Request::QueryFederated(wire_query) => {
             let query = wire_query.to_query();
             // The federated RTT decomposition: acquiring the live
-            // snapshot (cache hit: an Arc clone; miss: quiesce + cut)
+            // snapshot (cache hit: an Arc clone; miss: a fresh cut)
             // vs evaluating over live ∪ warehouse, both outside the
             // core lock. The remainder of the client-observed RTT is
             // wire + framing.
@@ -1032,8 +1062,10 @@ fn handle_request(shared: &Shared, request: Request, session: &mut SessionState)
         }
         Request::Explain(predicate) => Response::Explained(explain(shared, &predicate)),
         Request::Stats => {
-            // Counters only: one engine barrier under the core lock and
-            // one warehouse read guard — no snapshot cut, no rollup.
+            // Counters only: the engine's counters under the core lock
+            // (its barrier finds nothing buffered — every acknowledged
+            // batch is applied) and one warehouse read guard — no
+            // snapshot cut, no rollup.
             let stats = {
                 let mut core = shared.core.lock().unwrap_or_else(|p| p.into_inner());
                 core.engine.stats()
@@ -1202,11 +1234,6 @@ fn build_health(shared: &Shared) -> HealthReport {
         sessions_active: shared.metrics.sessions_active.get().max(0) as u64,
         subscribers_active: shared.metrics.subscribers_active.get().max(0) as u64,
         flush_backlog_trajectories,
-        worker_queue_depths: shared
-            .worker_queue_depths
-            .iter()
-            .map(|g| g.get().max(0) as u64)
-            .collect(),
         last_checkpoint_age_ms,
         warehouse_segments,
         warehouse_trajectories,

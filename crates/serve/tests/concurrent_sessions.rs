@@ -1,9 +1,8 @@
 //! Concurrent-session equivalence: M writer clients and K query
 //! clients hammer one server from separate threads, and the final
 //! state must equal a **single-threaded in-process replay** of the
-//! same events — the same differential idiom
-//! `tests/parallel_equivalence.rs` uses to pin the parallel engine to
-//! the sequential one, lifted to the network tier.
+//! same events — the streamed == batch differential idiom of
+//! `sitm-stream`'s `tests/equivalence.rs`, lifted to the network tier.
 //!
 //! Determinism argument: each writer owns a disjoint visit-key range
 //! and sends its own visits' events in order, so per-visit event order

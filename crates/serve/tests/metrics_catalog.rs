@@ -311,13 +311,15 @@ fn pending_episodes_gauge_tracks_the_undrained_pool() {
         ]
     };
     let pending = |client: &mut Client| {
-        // Stats is an engine barrier, so the gauge read after it is exact.
-        let episodes = client.server_stats().expect("stats").episodes;
+        // Read the gauge first, with no barrier in between: an
+        // acknowledged batch is already applied and the gauge published
+        // at its flush, so the value is exact right after the ack.
         let gauge = client
             .metrics()
             .expect("metrics")
             .gauge("engine.pending_episodes")
             .expect("the gauge is published");
+        let episodes = client.server_stats().expect("stats").episodes;
         (episodes, gauge)
     };
 

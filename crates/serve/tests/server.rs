@@ -15,9 +15,13 @@ use sitm_core::{
 use sitm_graph::{LayerIdx, NodeId};
 use sitm_query::wire::WireQuery;
 use sitm_query::{Predicate, SegmentedDb, SortKey, TrajectorySource};
-use sitm_serve::{Client, Server, ServerConfig};
+use sitm_serve::{
+    decode_response, encode_request, read_frame, write_frame, Client, Request, Response, Server,
+    ServerConfig,
+};
 use sitm_space::CellRef;
-use sitm_store::warehouse::WarehouseConfig;
+use sitm_store::segment;
+use sitm_store::warehouse::{segment_file_name, WarehouseConfig};
 use sitm_stream::{EngineConfig, Flusher, ShardedEngine, StreamEvent, VisitKey};
 
 static NEXT: AtomicU64 = AtomicU64::new(0);
@@ -368,6 +372,103 @@ fn sessions_survive_bad_payloads_and_servers_survive_bad_sessions() {
 /// lands), and the connection is re-established so a subsequent call
 /// succeeds. Driven against a hand-rolled peer so the severing is
 /// deterministic.
+/// Sends one request on a fresh connection and waits (bounded) for
+/// the answer; `None` when the connection failed, was closed, or never
+/// answered.
+fn call_once(addr: std::net::SocketAddr, request: &Request) -> Option<Response> {
+    let mut stream = std::net::TcpStream::connect(addr).ok()?;
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .ok()?;
+    let mut payload = Vec::new();
+    encode_request(&mut payload, request);
+    write_frame(&mut stream, &payload).ok()?;
+    let frame = read_frame(&mut stream).ok()?;
+    Some(decode_response(&mut frame.as_slice()).expect("well-formed response"))
+}
+
+/// A query that hydrates a corrupt segment body panics by design
+/// (fail-stop). The panic must cost only its own session: with more
+/// such queries than session workers, a healthy query is still
+/// answered, and every panic is counted.
+#[test]
+fn session_panics_are_contained_and_the_server_keeps_answering() {
+    const SESSIONS: usize = 2;
+    const BAD_QUERIES: u64 = 3;
+    let tmp = TempDir::new("panics");
+    let warehouse = WarehouseConfig {
+        fanout: 64, // keep the two segments apart
+        ..WarehouseConfig::default()
+    };
+    let trajectories = |prefix: &str, base: i64| -> Vec<sitm_core::SemanticTrajectory> {
+        (0..4i64)
+            .map(|i| {
+                let start = base + i * 100;
+                let stay = PresenceInterval::new(
+                    TransitionTaken::Unknown,
+                    cell(1),
+                    Timestamp(start),
+                    Timestamp(start + 50),
+                );
+                sitm_core::SemanticTrajectory::new(
+                    format!("{prefix}-{i}"),
+                    sitm_core::Trace::new(vec![stay]).expect("trace"),
+                    label("visit"),
+                )
+                .expect("trajectory")
+            })
+            .collect()
+    };
+    {
+        let (mut db, _) = SegmentedDb::open(&tmp.0, warehouse).expect("open");
+        db.flush(trajectories("bad", 0)).expect("segment 0");
+        db.flush(trajectories("good", 10_000)).expect("segment 1");
+        assert_eq!(db.segments().len(), 2);
+    }
+    // Flip one byte of segment 0's first trajectory frame: its headers
+    // (zone map, directory, sort columns, rollup) stay intact, so the
+    // warehouse opens, and the corruption surfaces at hydration.
+    let path = tmp.0.join(segment_file_name(0));
+    let mut data = std::fs::read(&path).expect("read segment");
+    let mut body = segment::MAGIC.len();
+    for _ in 0..4 {
+        let len = u32::from_le_bytes(data[body + 1..body + 5].try_into().unwrap());
+        body += segment::FRAME_OVERHEAD + len as usize;
+    }
+    assert!(body < data.len(), "trajectory frames follow the headers");
+    data[body + segment::FRAME_OVERHEAD] ^= 0x40;
+    std::fs::write(&path, &data).expect("corrupt segment");
+
+    let mut config = ServerConfig::new(engine_config(), &tmp.0).with_sessions(SESSIONS);
+    config.warehouse = warehouse;
+    let server = Server::start(config).expect("start server");
+    let bad = Request::Query(WireQuery::filtered(Predicate::MovingObject("bad-1".into())));
+    for i in 0..BAD_QUERIES {
+        assert!(
+            call_once(server.addr(), &bad).is_none(),
+            "bad query {i}: the panicking session must close without an answer"
+        );
+    }
+    let good = Request::Query(WireQuery::filtered(Predicate::MovingObject(
+        "good-2".into(),
+    )));
+    match call_once(server.addr(), &good) {
+        Some(Response::Trajectories(rows)) => {
+            assert_eq!(rows.len(), 1);
+            assert_eq!(rows[0].moving_object, "good-2");
+        }
+        other => panic!("a healthy query must still be answered, got {other:?}"),
+    }
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let metrics = client.metrics().expect("metrics");
+    assert_eq!(
+        metrics.counter("serve.sessions_panicked"),
+        Some(BAD_QUERIES)
+    );
+    client.shutdown().expect("shutdown");
+    server.join().expect("join");
+}
+
 #[test]
 fn client_reconnects_after_connection_loss() {
     use sitm_serve::{decode_request, encode_response, read_frame, write_frame};

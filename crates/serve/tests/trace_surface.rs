@@ -264,9 +264,12 @@ fn health_reports_the_server_story() {
         health.flush_backlog_trajectories, 0,
         "checkpoint drained the spill tier"
     );
-    assert!(
-        !health.worker_queue_depths.is_empty(),
-        "one depth per engine worker"
+    // The ingest tier has no queue to report: an acknowledged batch is
+    // an applied batch, so the engine already counts every event sent.
+    assert_eq!(
+        client.server_stats().expect("stats").events,
+        feed(0, 40, 3).len() as u64,
+        "acknowledged == applied"
     );
     assert!(
         health.last_checkpoint_age_ms.is_some(),

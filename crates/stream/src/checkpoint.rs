@@ -27,7 +27,6 @@ use sitm_store::{
 
 use crate::engine::{EngineConfig, EngineError, ShardedEngine};
 use crate::event::VisitKey;
-use crate::parallel::ParallelEngine;
 use crate::segmenter::SegmenterSnapshot;
 use crate::shard::{EmittedEpisode, ShardSnapshot, ShardStats};
 use crate::visit::{Anomalies, OpenFix, VisitSnapshot};
@@ -380,9 +379,7 @@ fn decode_stats(buf: &mut &[u8]) -> Result<ShardStats, CheckpointError> {
 
 /// Decodes and validates one complete checkpoint against `config` —
 /// shard count, predicate arity, retention reconciliation — and
-/// restores the shards. The single restore body behind both
-/// [`ShardedEngine::restore`] and [`ParallelEngine::restore`], so a
-/// validation added for one engine cannot be forgotten for the other.
+/// restores the shards (the body of [`ShardedEngine::restore`]).
 /// Returns the shards in shard order plus the checkpoint's sequence.
 pub(crate) fn decode_checkpoint(
     config: &EngineConfig,
@@ -412,7 +409,7 @@ pub(crate) fn decode_checkpoint(
 }
 
 /// Appends one checkpoint's frames and fsyncs — the non-compacting
-/// commit path shared by both engines' `checkpoint` and the
+/// commit path shared by [`ShardedEngine::checkpoint`] and the
 /// [`Checkpointer`]'s deferred-compaction commits.
 pub(crate) fn append_and_sync(
     log: &mut LogStore<CheckpointFrame>,
@@ -511,59 +508,20 @@ impl Checkpointer {
 
 // --- recovery --------------------------------------------------------------
 
-/// The resume surface both engines share, so every `resume_*` entry
-/// point runs the same recovery body.
-trait ResumableEngine: Sized {
-    fn fresh(config: EngineConfig) -> Result<Self, EngineError>;
-    fn restore_from(config: EngineConfig, frames: &[&CheckpointFrame])
-        -> Result<Self, EngineError>;
-    fn advance(&mut self, sequence: u64);
-}
-
-impl ResumableEngine for ShardedEngine {
-    fn fresh(config: EngineConfig) -> Result<Self, EngineError> {
-        ShardedEngine::new(config)
-    }
-    fn restore_from(
-        config: EngineConfig,
-        frames: &[&CheckpointFrame],
-    ) -> Result<Self, EngineError> {
-        ShardedEngine::restore(config, frames)
-    }
-    fn advance(&mut self, sequence: u64) {
-        self.advance_sequence_to(sequence);
-    }
-}
-
-impl ResumableEngine for ParallelEngine {
-    fn fresh(config: EngineConfig) -> Result<Self, EngineError> {
-        ParallelEngine::new(config)
-    }
-    fn restore_from(
-        config: EngineConfig,
-        frames: &[&CheckpointFrame],
-    ) -> Result<Self, EngineError> {
-        ParallelEngine::restore(config, frames)
-    }
-    fn advance(&mut self, sequence: u64) {
-        self.advance_sequence_to(sequence);
-    }
-}
-
 /// The common recovery body: rebuild from the newest complete
 /// checkpoint (or fresh when none exists), then raise the sequence past
 /// every durable frame — torn checkpoints included, whose numbers must
 /// never be reused or the next checkpoint would collide with the stale
 /// frames and read as incomplete at the following recovery.
-fn resume_engine<E: ResumableEngine>(
+fn resume_engine(
     config: EngineConfig,
     frames: &[CheckpointFrame],
-) -> Result<E, EngineError> {
+) -> Result<ShardedEngine, EngineError> {
     let mut engine = match latest_complete_checkpoint(frames) {
-        Some(chosen) => E::restore_from(config, &chosen)?,
-        None => E::fresh(config)?,
+        Some(chosen) => ShardedEngine::restore(config, &chosen)?,
+        None => ShardedEngine::new(config)?,
     };
-    engine.advance(frames.iter().map(|f| f.sequence).max().unwrap_or(0));
+    engine.advance_sequence_to(frames.iter().map(|f| f.sequence).max().unwrap_or(0));
     Ok(engine)
 }
 
@@ -579,15 +537,6 @@ pub fn resume_from_log(
     Ok((resume_engine(config, &frames)?, log, report))
 }
 
-/// [`resume_from_log`] for the thread-per-shard [`ParallelEngine`].
-pub fn resume_parallel_from_log(
-    config: EngineConfig,
-    path: impl AsRef<std::path::Path>,
-) -> Result<(ParallelEngine, LogStore<CheckpointFrame>, RecoveryReport), EngineError> {
-    let (log, frames, report) = LogStore::<CheckpointFrame>::open(path)?;
-    Ok((resume_engine(config, &frames)?, log, report))
-}
-
 /// [`resume_from_log`], but through a compacting [`Checkpointer`]
 /// instead of a raw log.
 pub fn resume_compacting(
@@ -595,16 +544,6 @@ pub fn resume_compacting(
     path: impl AsRef<std::path::Path>,
     policy: CompactionPolicy,
 ) -> Result<(ShardedEngine, Checkpointer, RecoveryReport), EngineError> {
-    let (checkpointer, frames, report) = Checkpointer::open(path, policy)?;
-    Ok((resume_engine(config, &frames)?, checkpointer, report))
-}
-
-/// [`resume_compacting`] for the [`ParallelEngine`].
-pub fn resume_parallel_compacting(
-    config: EngineConfig,
-    path: impl AsRef<std::path::Path>,
-    policy: CompactionPolicy,
-) -> Result<(ParallelEngine, Checkpointer, RecoveryReport), EngineError> {
     let (checkpointer, frames, report) = Checkpointer::open(path, policy)?;
     Ok((resume_engine(config, &frames)?, checkpointer, report))
 }
@@ -686,7 +625,7 @@ mod tests {
         assert_eq!(seq, 1);
         drop(log);
 
-        let (restored, _log, report) = resume_from_log(config(), &tmp.0).unwrap();
+        let (mut restored, _log, report) = resume_from_log(config(), &tmp.0).unwrap();
         assert!(report.is_clean());
         let stats = restored.stats();
         assert_eq!(stats.presences, 2);
@@ -766,16 +705,57 @@ mod tests {
         assert_eq!(seq, 3, "torn sequence 2 is burned, not reused");
         drop(log);
         // The new checkpoint is complete and wins the next recovery.
-        let (again, _, _) = resume_from_log(config(), &tmp.0).unwrap();
+        let (mut again, _, _) = resume_from_log(config(), &tmp.0).unwrap();
         assert_eq!(again.stats().presences, 2);
     }
 
     #[test]
     fn empty_log_starts_fresh() {
         let tmp = TempPath::new("fresh");
-        let (engine, _log, report) = resume_from_log(config(), &tmp.0).unwrap();
+        let (mut engine, _log, report) = resume_from_log(config(), &tmp.0).unwrap();
         assert!(report.is_clean());
         assert_eq!(engine.stats().events, 0);
+    }
+
+    #[test]
+    fn finished_backlog_survives_checkpoint_restore() {
+        let events: Vec<StreamEvent> = (1..=4u64)
+            .flat_map(|v| {
+                let t = v as i64 * 100;
+                [
+                    StreamEvent::VisitOpened {
+                        visit: VisitKey(v),
+                        moving_object: format!("mo-{v}"),
+                        annotations: label("visit"),
+                        at: Timestamp(t),
+                    },
+                    presence(v, 1, t),
+                    StreamEvent::VisitClosed {
+                        visit: VisitKey(v),
+                        at: Timestamp(t + 20),
+                    },
+                ]
+            })
+            .collect();
+        let mut reference = ShardedEngine::new(config().with_warehouse()).unwrap();
+        reference.ingest_all(events.iter().cloned());
+        let expected = reference.take_finished();
+        assert_eq!(expected.len(), 4);
+
+        let tmp = TempPath::new("finished");
+        {
+            let mut engine = ShardedEngine::new(config().with_warehouse()).unwrap();
+            engine.ingest_all(events.iter().cloned());
+            // Checkpoint *without* taking the finished backlog: it must
+            // reappear after restore (exactly-once relative to take).
+            let (mut log, _, _) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
+            engine.checkpoint(&mut log).unwrap();
+        }
+        let (mut restored, _log, report) =
+            resume_from_log(config().with_warehouse(), &tmp.0).unwrap();
+        assert!(report.is_clean());
+        assert_eq!(restored.take_finished(), expected);
+        assert!(restored.take_finished().is_empty());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use sitm_core::{AnnotationSet, Duration, IntervalPredicate, Timestamp};
-use sitm_obs::{Counter, MetricsRegistry};
+use sitm_obs::{Counter, Gauge, MetricsRegistry};
 use sitm_store::{CheckpointFrame, LogStore, StoreError};
 
 use crate::checkpoint::{encode_shard, CheckpointError};
@@ -102,22 +102,16 @@ pub struct EngineConfig {
     /// or before `close + allowed_lateness` is rejected (`after_close`),
     /// one beyond it retires the fence and re-opens the visit
     /// implicitly — a pure function of the visit's own history, so the
-    /// decision cannot depend on shard batching or worker scheduling
-    /// (what keeps the work-stealing runtime bit-identical to the
-    /// sequential one under arbitrary interleavings).
+    /// decision cannot depend on shard count or batch boundaries.
     pub allowed_lateness: Duration,
     /// Per-shard cap on remembered close fences — a memory-protection
     /// valve, not a semantic knob. Past it, fences with the smallest
     /// close instants are evicted; stragglers for an evicted visit
     /// re-open implicitly, the same outcome an expired fence produces.
-    /// Below the cap, fencing is exactly identical across runtimes
-    /// (the differential tests' regime). Above it, the *surviving set*
-    /// still agrees at every barrier (both engines keep the
-    /// cap-largest close instants), but eviction *timing* differs —
-    /// the sequential engine evicts at each close, the work-stealing
-    /// engine at its sweep points — so a straggler racing an eviction
-    /// may be judged fenced by one runtime and re-opened by the other.
-    /// Size the cap above the realistic straggler horizon.
+    /// The cap is per shard, so above it the shard count decides which
+    /// fences survive and a straggler may be judged differently for
+    /// different shard counts. Size the cap above the realistic
+    /// straggler horizon.
     pub fence_capacity: usize,
     /// Retain each open visit's accepted intervals (in memory and in
     /// checkpoints) so live queries can see its trajectory prefix. Off by
@@ -131,13 +125,8 @@ pub struct EngineConfig {
     /// the memory a retained backlog costs is exactly what
     /// [`crate::Flusher`] exists to bound.
     pub retain_finished: bool,
-    /// Backpressure depth of the parallel engine (`ParallelEngine`), in
-    /// batches per worker: producers block once
-    /// `channel_depth × batch_capacity × workers` events are queued in
-    /// the work-stealing scheduler. Ignored by the sequential engine.
-    pub channel_depth: usize,
     /// Where the engine's `engine.*` instruments live (events
-    /// ingested/fenced, route-vs-steal counts, queue-depth gauges).
+    /// ingested/fenced, the undrained-episode gauge).
     /// Defaults to the process-global registry; a server injects its
     /// own so one pipeline's counters stay isolated.
     pub metrics: MetricsRegistry,
@@ -156,7 +145,6 @@ impl EngineConfig {
             fence_capacity: 65_536,
             retain_intervals: false,
             retain_finished: false,
-            channel_depth: 64,
             metrics: MetricsRegistry::global().clone(),
         }
     }
@@ -228,14 +216,6 @@ impl EngineConfig {
         self
     }
 
-    /// Overrides the parallel engine's backpressure depth (batches per
-    /// worker).
-    #[must_use]
-    pub fn with_channel_depth(mut self, depth: usize) -> Self {
-        self.channel_depth = depth;
-        self
-    }
-
     /// Points the engine's `engine.*` instruments at `registry` instead
     /// of the process-global default.
     #[must_use]
@@ -245,15 +225,22 @@ impl EngineConfig {
     }
 }
 
-/// Sequential-engine instrument handles, resolved once at construction
-/// so the per-event path pays a single relaxed atomic add.
+/// Engine instrument handles, resolved once at construction so the
+/// per-event path pays a single relaxed atomic add.
 struct EngineMetrics {
     events_ingested: Arc<Counter>,
     events_fenced: Arc<Counter>,
+    /// Episodes finalized but not yet drained. Without a subscriber
+    /// nothing drains the pool, so this climbs with every episode
+    /// emitted — the gauge makes that growth visible.
+    pending_episodes: Arc<Gauge>,
     /// Fence rejections already published to the counter — deltas are
     /// published at each flush, so a restore (whose shard stats carry
     /// history) never double-counts.
     published_fenced: u64,
+    /// This engine's share of the pending gauge, so engines sharing a
+    /// registry add up and a dropped engine withdraws exactly its own.
+    published_pending: i64,
 }
 
 impl EngineMetrics {
@@ -261,7 +248,9 @@ impl EngineMetrics {
         EngineMetrics {
             events_ingested: registry.counter("engine.events_ingested"),
             events_fenced: registry.counter("engine.events_fenced"),
+            pending_episodes: registry.gauge("engine.pending_episodes"),
             published_fenced,
+            published_pending: 0,
         }
     }
 }
@@ -290,9 +279,7 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    /// Folds one shard's counters (plus its open-visit census) in — the
-    /// single aggregation point for both engines, so a counter added to
-    /// [`ShardStats`] cannot silently diverge between them.
+    /// Folds one shard's counters (plus its open-visit census) in.
     pub fn absorb_shard(&mut self, shard: &ShardStats, open_visits: u64) {
         self.events += shard.events;
         self.presences += shard.presences;
@@ -402,7 +389,8 @@ impl ShardedEngine {
         }
     }
 
-    /// Applies every buffered event now.
+    /// Applies every buffered event now, then publishes the
+    /// fence-rejection and pending-episode gauges.
     pub fn flush(&mut self) {
         let ctx = self.config.ctx();
         for shard in &mut self.shards {
@@ -419,6 +407,20 @@ impl ShardedEngine {
             self.metrics.events_fenced.add(delta);
             self.metrics.published_fenced = fenced;
         }
+        self.publish_pending();
+    }
+
+    /// Moves the `engine.pending_episodes` gauge by the change in this
+    /// engine's undrained pool since the last publish.
+    fn publish_pending(&mut self) {
+        let pending: usize = self.shards.iter().map(|s| s.pending().len()).sum();
+        let pending = pending as i64;
+        if pending != self.metrics.published_pending {
+            self.metrics
+                .pending_episodes
+                .add(pending - self.metrics.published_pending);
+            self.metrics.published_pending = pending;
+        }
     }
 
     /// Flushes, then returns every episode finalized since the last drain,
@@ -429,6 +431,7 @@ impl ShardedEngine {
         for shard in &mut self.shards {
             out.extend(shard.take_pending());
         }
+        self.publish_pending();
         out.sort_by_key(|a| a.sort_key());
         out
     }
@@ -457,6 +460,7 @@ impl ShardedEngine {
             let shard = shard_of(episode.visit, shards);
             self.shards[shard].requeue_pending(episode);
         }
+        self.publish_pending();
     }
 
     /// End-of-stream: closes every open visit, then drains.
@@ -473,9 +477,8 @@ impl ShardedEngine {
     /// Flushes, then takes every visit trajectory completed since the
     /// last take, in deterministic global order (span start, span end,
     /// encoded bytes — [`sitm_store::sort_run`]'s canonical order, so
-    /// both runtimes and any shard count hand a warehouse flusher the
-    /// identical batch). Empty unless
-    /// [`EngineConfig::with_warehouse`] is on. The exactly-once
+    /// any shard count hands a warehouse flusher the identical batch).
+    /// Empty unless [`EngineConfig::with_warehouse`] is on. The exactly-once
     /// contract mirrors `drain`'s: trajectories taken before a
     /// checkpoint are never re-emitted after restore, untaken ones
     /// reappear.
@@ -549,8 +552,11 @@ impl ShardedEngine {
             .min()
     }
 
-    /// Aggregated counters.
-    pub fn stats(&self) -> EngineStats {
+    /// Aggregated counters. This is a barrier: buffered events are
+    /// applied first, so the counts cover every event ingested before
+    /// the call.
+    pub fn stats(&mut self) -> EngineStats {
+        self.flush();
         let mut stats = EngineStats::default();
         for shard in &self.shards {
             stats.absorb_shard(shard.stats(), shard.open_visits() as u64);
@@ -622,7 +628,7 @@ impl ShardedEngine {
             .map(|s: &Shard| s.stats().anomalies.after_close)
             .sum();
         let metrics = EngineMetrics::bind(&config.metrics, published_fenced);
-        Ok(ShardedEngine {
+        let mut engine = ShardedEngine {
             config,
             shards,
             sequence,
@@ -630,7 +636,19 @@ impl ShardedEngine {
             epoch: 0,
             dirty: false,
             snapshot_cache: None,
-        })
+        };
+        engine.publish_pending();
+        Ok(engine)
+    }
+}
+
+impl Drop for ShardedEngine {
+    /// Withdraws this engine's undrained pool from the shared
+    /// `engine.pending_episodes` gauge.
+    fn drop(&mut self) {
+        self.metrics
+            .pending_episodes
+            .add(-self.metrics.published_pending);
     }
 }
 
@@ -735,6 +753,49 @@ mod tests {
         assert_eq!(stats.anomalies.total(), 0);
         assert_eq!(engine.watermark(), Some(Timestamp(300)));
         assert_eq!(engine.stats().open_visits, 0);
+    }
+
+    /// `stats()` is a barrier: events still sitting in shard inboxes
+    /// (here, the whole feed — it is shorter than one batch) are
+    /// applied before the counters are read.
+    #[test]
+    fn stats_is_a_barrier_over_buffered_inboxes() {
+        let events = feed();
+        let total = events.len() as u64;
+        let mut engine = ShardedEngine::new(config(2).with_batch_capacity(10_000)).unwrap();
+        engine.ingest_all(events);
+        let stats = engine.stats();
+        assert_eq!(stats.events, total, "stats() must observe buffered events");
+        assert_eq!(stats.visits_opened, 6);
+        assert_eq!(stats.visits_closed, 6);
+        engine.flush();
+        assert_eq!(
+            engine.stats(),
+            stats,
+            "a flush after stats() changes nothing"
+        );
+    }
+
+    #[test]
+    fn take_finished_is_shard_count_invariant_and_exactly_once() {
+        let mut reference = ShardedEngine::new(config(1).with_warehouse()).unwrap();
+        reference.ingest_all(feed());
+        let expected = reference.take_finished();
+        assert_eq!(expected.len(), 6, "every closed visit produced a record");
+        assert!(
+            reference.take_finished().is_empty(),
+            "drain is exactly-once"
+        );
+        for shards in [2usize, 8] {
+            let mut engine = ShardedEngine::new(config(shards).with_warehouse()).unwrap();
+            engine.ingest_all(feed());
+            assert_eq!(engine.take_finished(), expected, "{shards} shards");
+            assert!(engine.take_finished().is_empty());
+        }
+        // Without the warehouse drain nothing is retained.
+        let mut plain = ShardedEngine::new(config(2)).unwrap();
+        plain.ingest_all(feed());
+        assert!(plain.take_finished().is_empty());
     }
 
     #[test]

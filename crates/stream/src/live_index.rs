@@ -3,10 +3,9 @@
 //! The warehouse side of the query stack answers predicates through
 //! `sitm_query::TrajectoryDb`'s inverted indexes; before this module the
 //! live side answered them by scanning every retained prefix. A
-//! [`LiveIndex`] closes that gap: each shard (and the work-stealing
-//! engine's shared scheduler) maintains three posting structures
-//! *incrementally*, updated as events are accepted rather than rebuilt
-//! per query:
+//! [`LiveIndex`] closes that gap: each shard maintains three posting
+//! structures *incrementally*, updated as events are accepted rather
+//! than rebuilt per query:
 //!
 //! * **cell postings** — cell → open visits with at least one accepted
 //!   stay there (serves `VisitedCell`, `MinStayIn`, `StayOverlaps`, and

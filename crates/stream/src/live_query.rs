@@ -8,23 +8,20 @@
 //!
 //! ## Snapshot consistency
 //!
-//! A [`LiveSnapshot`] is a *consistent cut*: both engines produce it by
-//! flushing, then capturing every shard's state at one point in the
-//! command order, so an event is either entirely visible (its effects on
-//! the prefix and the live index both present) or entirely absent. For
-//! [`crate::ParallelEngine`] the cut is a quiesce point of the
-//! work-stealing scheduler: every event ingested before the call is
-//! applied and deposited before the capture, everything after is
-//! excluded — the same contract the sequential engine gets from its
-//! in-line flush.
+//! A [`LiveSnapshot`] is a *consistent cut*: the engine produces it by
+//! flushing every shard inbox, then capturing every shard's state at
+//! one point in the command order, so an event is either entirely
+//! visible (its effects on the prefix and the live index both present)
+//! or entirely absent: every event ingested before the call is applied
+//! before the capture, everything after is excluded.
 //!
 //! The undrained episode pool is **not** part of a snapshot: no query
 //! reads it, and without a subscriber draining it the pool grows with
 //! every episode emitted, so copying it into every cut (and freeing it
 //! with every invalidated cut) made each cut cost O(history). Callers
 //! that want the pool take it from the engine at the same cut —
-//! `pending_episodes()` on either runtime is a quiesced, drain-ordered
-//! clone, equal to what a `drain` right after it returns.
+//! `pending_episodes()` is a flushed, drain-ordered clone, equal to
+//! what a `drain` right after it returns.
 //!
 //! Prefix visibility requires interval retention
 //! ([`crate::EngineConfig::with_live_queries`]); without it, open visits
@@ -38,8 +35,8 @@
 //! are accepted, never rebuilt per query (see [`crate::live_index`]).
 //! A snapshot carries the union of the shard indexes **from the same
 //! cut** as its visits: because the index is advanced inside the same
-//! event application that extends the prefixes, an index captured at a
-//! quiesce point can neither lead nor trail the visible trajectories.
+//! event application that extends the prefixes, an index captured after
+//! a flush can neither lead nor trail the visible trajectories.
 //! There is no "mid-update" window a caller can observe; the
 //! drain-point consistency tests pin indexed results == scan results at
 //! every cut, including cuts taken between incremental drains.

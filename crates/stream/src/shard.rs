@@ -94,21 +94,6 @@ pub struct ShardStats {
     pub anomalies: Anomalies,
 }
 
-impl ShardStats {
-    /// Adds another counter set in (used by the work-stealing runtime,
-    /// whose workers deposit per-slice deltas into one shared total).
-    pub fn absorb(&mut self, other: &ShardStats) {
-        self.events += other.events;
-        self.presences += other.presences;
-        self.fixes += other.fixes;
-        self.visits_opened += other.visits_opened;
-        self.visits_closed += other.visits_closed;
-        self.episodes += other.episodes;
-        self.batches_flushed += other.batches_flushed;
-        self.anomalies.absorb(&other.anomalies);
-    }
-}
-
 /// Serializable shard state (inbox must be empty — the engine flushes
 /// before snapshotting).
 #[derive(Debug, Clone, PartialEq)]
@@ -157,17 +142,6 @@ pub struct Shard {
     /// under [`ShardCtx::retain_intervals`]; empty otherwise). Not
     /// checkpointed — rebuilt from the retained intervals on restore.
     live_index: LiveIndex,
-}
-
-/// A shard dismantled into its state, for engines that keep visit state
-/// in a different container (the work-stealing scheduler).
-pub(crate) struct ShardParts {
-    pub watermark: Option<Timestamp>,
-    pub visits: BTreeMap<u64, VisitState>,
-    pub closed: BTreeMap<u64, Timestamp>,
-    pub pending: Vec<EmittedEpisode>,
-    pub finished: Vec<(u64, sitm_core::SemanticTrajectory)>,
-    pub stats: ShardStats,
 }
 
 impl Shard {
@@ -279,10 +253,7 @@ impl Shard {
                 self.closed.insert(visit.0, at);
                 self.closed_order.insert((at, visit.0));
                 // Capacity eviction: drop the oldest fence (possibly
-                // this one). At any quiesce point both runtimes retain
-                // the same cap-largest close instants; see
-                // `EngineConfig::fence_capacity` for the (documented)
-                // mid-stream divergence window above the cap.
+                // this one); see `EngineConfig::fence_capacity`.
                 while self.closed.len() > ctx.fence_capacity.max(1) {
                     let &(evict_at, evict_key) =
                         self.closed_order.iter().next().expect("non-empty");
@@ -505,20 +476,6 @@ impl Shard {
             live_index,
         }
     }
-
-    /// Dismantles the shard (inbox must be empty — restore-time shards
-    /// always are) so another runtime can adopt its state.
-    pub(crate) fn into_parts(self) -> ShardParts {
-        debug_assert!(self.inbox.is_empty(), "flush before dismantling");
-        ShardParts {
-            watermark: self.watermark,
-            visits: self.visits,
-            closed: self.closed,
-            pending: self.pending,
-            finished: self.finished,
-            stats: self.stats,
-        }
-    }
 }
 
 impl Default for Shard {
@@ -651,7 +608,7 @@ mod tests {
         assert_eq!(shard.stats().anomalies.after_close, 1);
         // A straggler stamped beyond `close + lateness` retires the
         // fence and re-opens the visit implicitly — the event-time
-        // deterministic rule both runtimes share.
+        // deterministic rule.
         let far = 10 + lateness.as_seconds() + 1;
         shard.enqueue(presence(6, 1, far, far + 5), &ctx);
         shard.enqueue(presence(5, 1, far + 1, far + 2), &ctx);

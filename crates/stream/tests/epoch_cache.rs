@@ -1,4 +1,4 @@
-//! The epoch-cached snapshot contract, on both runtimes:
+//! The epoch-cached snapshot contract:
 //!
 //! * `live_snapshot` between ingest barriers returns the **same**
 //!   `Arc` (pointer-equal — zero rebuild, zero copy);
@@ -19,10 +19,7 @@ use sitm_core::{
 };
 use sitm_graph::{LayerIdx, NodeId};
 use sitm_space::CellRef;
-use sitm_stream::{
-    EmittedEpisode, EngineConfig, LiveSnapshot, ParallelEngine, ShardedEngine, StreamEvent,
-    VisitKey,
-};
+use sitm_stream::{EmittedEpisode, EngineConfig, ShardedEngine, StreamEvent, VisitKey};
 
 fn cell(n: usize) -> CellRef {
     CellRef::new(LayerIdx::from_index(0), NodeId::from_index(n))
@@ -72,75 +69,16 @@ fn events(base: u64, count: u64) -> Vec<StreamEvent> {
     out
 }
 
-/// The runtime-agnostic surface this contract is stated over.
-trait Runtime {
-    fn feed(&mut self, events: Vec<StreamEvent>);
-    fn snapshot_cached(&mut self) -> (Arc<LiveSnapshot>, bool);
-    fn epoch(&mut self) -> u64;
-    fn drain(&mut self) -> Vec<EmittedEpisode>;
-    fn pending(&mut self) -> Vec<EmittedEpisode>;
-    fn requeue(&mut self, episodes: Vec<EmittedEpisode>);
-    fn take_finished(&mut self) -> usize;
-}
-
-impl Runtime for ShardedEngine {
-    fn feed(&mut self, events: Vec<StreamEvent>) {
-        self.ingest_all(events);
-    }
-    fn snapshot_cached(&mut self) -> (Arc<LiveSnapshot>, bool) {
-        self.live_snapshot_cached()
-    }
-    fn epoch(&mut self) -> u64 {
-        ShardedEngine::epoch(self)
-    }
-    fn drain(&mut self) -> Vec<EmittedEpisode> {
-        ShardedEngine::drain(self)
-    }
-    fn pending(&mut self) -> Vec<EmittedEpisode> {
-        self.pending_episodes()
-    }
-    fn requeue(&mut self, episodes: Vec<EmittedEpisode>) {
-        self.requeue_pending(episodes);
-    }
-    fn take_finished(&mut self) -> usize {
-        ShardedEngine::take_finished(self).len()
-    }
-}
-
-impl Runtime for ParallelEngine {
-    fn feed(&mut self, events: Vec<StreamEvent>) {
-        self.ingest_all(events);
-    }
-    fn snapshot_cached(&mut self) -> (Arc<LiveSnapshot>, bool) {
-        self.live_snapshot_cached()
-    }
-    fn epoch(&mut self) -> u64 {
-        ParallelEngine::epoch(self)
-    }
-    fn drain(&mut self) -> Vec<EmittedEpisode> {
-        ParallelEngine::drain(self)
-    }
-    fn pending(&mut self) -> Vec<EmittedEpisode> {
-        self.pending_episodes()
-    }
-    fn requeue(&mut self, episodes: Vec<EmittedEpisode>) {
-        self.requeue_pending(episodes);
-    }
-    fn take_finished(&mut self) -> usize {
-        ParallelEngine::take_finished(self).len()
-    }
-}
-
-fn check_cache_contract(engine: &mut impl Runtime) {
-    engine.feed(events(0, 4));
+fn check_cache_contract(engine: &mut ShardedEngine) {
+    engine.ingest_all(events(0, 4));
     let e0 = engine.epoch();
 
     // First cut after a mutation: a miss that fills the cache.
-    let (first, hit) = engine.snapshot_cached();
+    let (first, hit) = engine.live_snapshot_cached();
     assert!(!hit, "first snapshot after ingest must be a cache miss");
     // Re-reads between barriers: pointer-equal hits, stable epoch.
     for _ in 0..3 {
-        let (again, hit) = engine.snapshot_cached();
+        let (again, hit) = engine.live_snapshot_cached();
         assert!(hit, "no mutation since the cut — must hit");
         assert!(
             Arc::ptr_eq(&first, &again),
@@ -151,16 +89,19 @@ fn check_cache_contract(engine: &mut impl Runtime) {
 
     // Checkpoint-shaped read: the finished backlog is not part of a
     // snapshot, so taking it keeps the cache warm.
-    assert!(engine.take_finished() > 0, "closed visits were retained");
-    let (after_take, hit) = engine.snapshot_cached();
+    assert!(
+        !engine.take_finished().is_empty(),
+        "closed visits were retained"
+    );
+    let (after_take, hit) = engine.live_snapshot_cached();
     assert!(hit, "take_finished must not invalidate the snapshot cache");
     assert!(Arc::ptr_eq(&first, &after_take));
 
     // Ingest invalidates: new epoch, new allocation, new content.
-    engine.feed(events(100, 2));
+    engine.ingest_all(events(100, 2));
     let e1 = engine.epoch();
     assert!(e1 > e0, "ingest must advance the epoch");
-    let (second, hit) = engine.snapshot_cached();
+    let (second, hit) = engine.live_snapshot_cached();
     assert!(!hit, "post-ingest snapshot must be rebuilt");
     assert!(!Arc::ptr_eq(&first, &second));
     assert!(
@@ -170,25 +111,25 @@ fn check_cache_contract(engine: &mut impl Runtime) {
 
     // A drain takes the pending pool, which no snapshot carries: the
     // cache stays warm and the epoch stays put, empty drain or not.
-    let pending = engine.pending();
+    let pending = engine.pending_episodes();
     let drained = engine.drain();
     assert!(!drained.is_empty(), "closed visits emitted episodes");
     assert_eq!(pending, drained, "pending_episodes previews the drain");
-    let (post_drain, hit) = engine.snapshot_cached();
+    let (post_drain, hit) = engine.live_snapshot_cached();
     assert!(hit, "a drain must not invalidate the snapshot cache");
     assert!(Arc::ptr_eq(&second, &post_drain));
     assert_eq!(engine.epoch(), e1, "a drain must not advance the epoch");
     assert!(engine.drain().is_empty());
-    assert!(engine.pending().is_empty());
-    let (after_empty, hit) = engine.snapshot_cached();
+    assert!(engine.pending_episodes().is_empty());
+    let (after_empty, hit) = engine.live_snapshot_cached();
     assert!(hit, "an empty drain must not invalidate");
     assert!(Arc::ptr_eq(&post_drain, &after_empty));
 
     // Requeue: the undo of a drain — the cache stays warm too, and the
     // next drain re-emits exactly what went back, in deterministic
     // order.
-    engine.requeue(drained.clone());
-    let (after_requeue, hit) = engine.snapshot_cached();
+    engine.requeue_pending(drained.clone());
+    let (after_requeue, hit) = engine.live_snapshot_cached();
     assert!(hit, "requeued episodes are not snapshot-visible");
     assert!(Arc::ptr_eq(&post_drain, &after_requeue));
     assert_eq!(engine.epoch(), e1, "a requeue must not advance the epoch");
@@ -204,41 +145,27 @@ fn sequential_engine_epoch_cache_contract() {
     check_cache_contract(&mut engine);
 }
 
-#[test]
-fn parallel_engine_epoch_cache_contract() {
-    let mut engine = ParallelEngine::new(config()).expect("engine");
-    check_cache_contract(&mut engine);
-}
-
-/// The cached cut is *correct*, not just cheap: a hit must equal what
-/// a fresh rebuild would produce — on the parallel runtime this pins
-/// that skipping dispatch/quiesce on a clean engine loses nothing.
+/// The cached cut is *correct*, not just cheap: after any number of
+/// hits, it equals what a fresh rebuild of an identically fed engine
+/// produces.
 #[test]
 fn cache_hits_match_a_forced_rebuild() {
-    let mut parallel = ParallelEngine::new(config()).expect("engine");
-    let mut sequential = ShardedEngine::new(config()).expect("engine");
+    let mut cached = ShardedEngine::new(config()).expect("engine");
+    let mut fed = Vec::new();
     for base in [0u64, 50, 200] {
         let batch = events(base, 3);
-        parallel.feed(batch.clone());
-        sequential.feed(batch);
-        let (cached, _) = parallel.snapshot_cached();
-        let (hit, was_hit) = parallel.snapshot_cached();
+        fed.extend(batch.iter().cloned());
+        cached.ingest_all(batch);
+        let (first, _) = cached.live_snapshot_cached();
+        let (hit, was_hit) = cached.live_snapshot_cached();
         assert!(was_hit);
-        let (reference, _) = sequential.snapshot_cached();
-        assert_eq!(cached.visits.len(), reference.visits.len());
-        assert_eq!(hit.visits.len(), reference.visits.len());
-        let mut a: Vec<String> = cached
-            .visits
-            .iter()
-            .map(|v| v.trajectory.moving_object.clone())
-            .collect();
-        let mut b: Vec<String> = reference
-            .visits
-            .iter()
-            .map(|v| v.trajectory.moving_object.clone())
-            .collect();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "cached cut diverged from the reference runtime");
+        assert!(Arc::ptr_eq(&first, &hit));
+
+        let mut rebuilt = ShardedEngine::new(config()).expect("engine");
+        rebuilt.ingest_all(fed.iter().cloned());
+        let (reference, was_hit) = rebuilt.live_snapshot_cached();
+        assert!(!was_hit, "a fresh engine's first cut is a rebuild");
+        assert!(!reference.visits.is_empty());
+        assert_eq!(*hit, *reference, "cached cut diverged from a rebuild");
     }
 }

@@ -7,14 +7,23 @@
 //! counts 1, 2, and 8, and across a crash/checkpoint-restore in the
 //! middle of the stream. Segmentation-level invariants (`covers`,
 //! `is_mutually_exclusive`) must agree with batch as well.
+//!
+//! Two feeds stress the shard partition itself: seeded shuffles (which
+//! break global time order and, when fully arbitrary, per-visit
+//! causality too, so the anomaly paths run) must leave every shard count
+//! identical to one shard — drains, anomalies and counters — and a
+//! single-hot-visit feed (one visit receiving ~97% of all events) must
+//! still equal batch for every shard count.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use sitm_core::{
     maximal_episodes, Annotation, AnnotationSet, Duration, Episode, EpisodicSegmentation,
-    IntervalPredicate, SemanticTrajectory,
+    IntervalPredicate, PresenceInterval, SemanticTrajectory, Timestamp, Trace, TransitionTaken,
 };
 use sitm_louvre::{
     build_louvre, generate_dataset, zone_key, Dataset, GeneratorConfig, LouvreModel,
@@ -23,7 +32,8 @@ use sitm_louvre::{
 use sitm_space::CellRef;
 use sitm_store::{CheckpointFrame, LogStore};
 use sitm_stream::{
-    dataset_events, resume_from_log, visit_trajectories, EngineConfig, ShardedEngine, VisitKey,
+    dataset_events, resume_from_log, visit_trajectories, EngineConfig, ShardedEngine, StreamEvent,
+    VisitKey,
 };
 
 /// Builds a consistent scaled-down calibration from free parameters.
@@ -129,6 +139,15 @@ fn without_empty(
 ) -> BTreeMap<(u64, usize), Vec<Episode>> {
     map.retain(|_, v| !v.is_empty());
     map
+}
+
+/// Seeded Fisher–Yates.
+fn shuffle(events: &mut [StreamEvent], seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    for i in (1..events.len()).rev() {
+        let j = rng.random_range(0..i + 1);
+        events.swap(i, j);
+    }
 }
 
 struct TempLog(std::path::PathBuf);
@@ -278,5 +297,175 @@ proptest! {
         delivered.sort_by_key(|a| a.sort_key());
 
         prop_assert_eq!(delivered, expected);
+    }
+
+    /// Arbitrary interleavings — including causality-breaking ones that
+    /// trigger the anomaly paths — are invisible to the shard count:
+    /// same mid-stream drain, same final drain, same counters as one
+    /// shard.
+    #[test]
+    fn shuffled_feeds_are_shard_count_invariant(
+        seed in 0u64..1_000_000,
+        shuffle_seed in 0u64..1_000_000,
+        singles in 5usize..14,
+        k in 2usize..6,
+        shards in 2usize..9,
+        cut_permille in 0usize..1000,
+    ) {
+        let model = build_louvre();
+        let dataset = generated(seed, singles, 1, 0, k);
+        let mut events = dataset_events(&model, &dataset);
+        shuffle(&mut events, shuffle_seed);
+        let cut = events.len() * cut_permille / 1000;
+        let config = |shards| {
+            EngineConfig::new(predicates(&model))
+                .with_shards(shards)
+                .with_batch_capacity(8)
+        };
+
+        let mut one = ShardedEngine::new(config(1)).expect("engine");
+        let mut many = ShardedEngine::new(config(shards)).expect("engine");
+
+        one.ingest_all(events[..cut].iter().cloned());
+        many.ingest_all(events[..cut].iter().cloned());
+        prop_assert_eq!(one.drain(), many.drain(), "mid-stream drain");
+
+        one.ingest_all(events[cut..].iter().cloned());
+        many.ingest_all(events[cut..].iter().cloned());
+        prop_assert_eq!(one.finish(), many.finish(), "final drain");
+
+        let a = one.stats();
+        let b = many.stats();
+        prop_assert_eq!(a.anomalies, b.anomalies, "anomaly accounting diverged");
+        prop_assert_eq!(a.events, b.events);
+        prop_assert_eq!(a.visits_opened, b.visits_opened);
+        prop_assert_eq!(a.visits_closed, b.visits_closed);
+        prop_assert_eq!(a.episodes, b.episodes);
+    }
+}
+
+/// A single-hot-visit feed: one visit receives ~97% of all events,
+/// plus a handful of cold visits. Returns the feed in time order and
+/// each visit's batch-built trajectory.
+fn hot_shard_feed() -> (Vec<StreamEvent>, Vec<(VisitKey, SemanticTrajectory)>) {
+    let hall = CellRef::new(
+        sitm_graph::LayerIdx::from_index(0),
+        sitm_graph::NodeId::from_index(3),
+    );
+    let other = CellRef::new(
+        sitm_graph::LayerIdx::from_index(0),
+        sitm_graph::NodeId::from_index(4),
+    );
+    let mut events = Vec::new();
+    let mut trajectories = Vec::new();
+    let mut visit = |key: u64, object: String, opened: i64, stays: Vec<(CellRef, i64, i64)>| {
+        let visit = VisitKey(key);
+        events.push(StreamEvent::VisitOpened {
+            visit,
+            moving_object: object.clone(),
+            annotations: label("visit"),
+            at: Timestamp(opened),
+        });
+        let intervals: Vec<PresenceInterval> = stays
+            .iter()
+            .map(|&(cell, start, end)| {
+                PresenceInterval::new(
+                    TransitionTaken::Unknown,
+                    cell,
+                    Timestamp(start),
+                    Timestamp(end),
+                )
+            })
+            .collect();
+        let closed = stays.last().map_or(opened, |&(_, _, end)| end) + 1;
+        for interval in &intervals {
+            events.push(StreamEvent::Presence {
+                visit,
+                interval: interval.clone(),
+            });
+        }
+        events.push(StreamEvent::VisitClosed {
+            visit,
+            at: Timestamp(closed),
+        });
+        let trace = Trace::new(intervals).expect("well-formed trace");
+        let trajectory =
+            SemanticTrajectory::new(object, trace, label("visit")).expect("annotated trajectory");
+        trajectories.push((visit, trajectory));
+    };
+    visit(
+        0,
+        "hot".into(),
+        0,
+        (0..600i64)
+            .map(|i| (if i % 2 == 0 { hall } else { other }, i * 10, i * 10 + 10))
+            .collect(),
+    );
+    for v in 1..8u64 {
+        let t = v as i64;
+        visit(
+            v,
+            format!("cold-{v}"),
+            t,
+            (0..3i64)
+                .map(|i| {
+                    (
+                        if i % 2 == 0 { other } else { hall },
+                        t + i * 50,
+                        t + i * 50 + 40,
+                    )
+                })
+                .collect(),
+        );
+    }
+    sitm_stream::event::sort_feed(&mut events);
+    (events, trajectories)
+}
+
+/// Under single-hot-visit skew every shard count streams exactly the
+/// batch episodes, drains the same cut mid-burst, and counts the same.
+#[test]
+fn single_hot_visit_skew_equals_batch_for_all_shard_counts() {
+    let model = build_louvre();
+    let (events, trajectories) = hot_shard_feed();
+    let reference = without_empty(batch_reference(&trajectories, &predicates(&model)));
+    let cut = events.len() / 3;
+    let mut first: Option<(
+        Vec<sitm_stream::EmittedEpisode>,
+        Vec<sitm_stream::EmittedEpisode>,
+    )> = None;
+    for shards in [1usize, 2, 4, 8] {
+        let mut engine = ShardedEngine::new(
+            EngineConfig::new(predicates(&model))
+                .with_shards(shards)
+                .with_batch_capacity(8),
+        )
+        .expect("engine");
+        // Drain in the middle of the hot visit's burst, then the rest.
+        engine.ingest_all(events[..cut].iter().cloned());
+        let early = engine.drain();
+        engine.ingest_all(events[cut..].iter().cloned());
+        let late = engine.finish();
+        let stats = engine.stats();
+        assert_eq!(
+            stats.anomalies.total(),
+            0,
+            "{shards} shards: well-formed feed"
+        );
+        assert_eq!(stats.events, events.len() as u64, "{shards} shards");
+        let mut all = early.clone();
+        all.extend(late.iter().cloned());
+        assert_eq!(
+            group_streamed(&all),
+            reference,
+            "{shards} shards diverged from batch"
+        );
+        match &first {
+            None => first = Some((early, late)),
+            Some((e, l)) => {
+                assert_eq!(&early, e, "{shards} shards: mid-skew drain");
+                assert_eq!(&late, l, "{shards} shards: final drain");
+            }
+        }
     }
 }

@@ -3,9 +3,10 @@
 //! At every drain point of a seeded Louvre replay, evaluating a
 //! `sitm_query::Predicate` over [`LiveSnapshot`] must equal evaluating
 //! the same predicate over the batch-built trajectory *prefixes* (the
-//! intervals ingested so far for every still-open visit) — for both
-//! engines, including the empty-shard case (more shards than visits)
-//! and a single-hot-shard skew (one visit receiving almost all events).
+//! intervals ingested so far for every still-open visit) — for any
+//! shard count, including the empty-shard case (more shards than
+//! visits) and a single-hot-shard skew (one visit receiving almost all
+//! events).
 
 use std::collections::BTreeMap;
 
@@ -23,8 +24,8 @@ use sitm_query::{federated_count, Predicate, TrajectorySource};
 use sitm_space::CellRef;
 use sitm_store::{CheckpointFrame, LogStore};
 use sitm_stream::{
-    dataset_events, resume_parallel_from_log, EmittedEpisode, EngineConfig, LiveSnapshot,
-    ParallelEngine, ShardedEngine, StreamEvent, VisitKey,
+    dataset_events, resume_from_log, EmittedEpisode, EngineConfig, LiveSnapshot, ShardedEngine,
+    StreamEvent, VisitKey,
 };
 
 fn label(s: &str) -> AnnotationSet {
@@ -214,27 +215,19 @@ proptest! {
         let events = dataset_events(&model, &dataset);
         prop_assert!(!events.is_empty());
 
-        let mut sequential = ShardedEngine::new(config(&model, shards)).expect("engine");
-        let mut parallel = ParallelEngine::new(config(&model, shards)).expect("engine");
+        let mut engine = ShardedEngine::new(config(&model, shards)).expect("engine");
 
         // Five drain points through the day, plus the end.
         let cuts: Vec<usize> = (1..=5).map(|i| events.len() * i / 5).collect();
         let mut previous = 0;
         for &cut in &cuts {
-            sequential.ingest_all(events[previous..cut].iter().cloned());
-            parallel.ingest_all(events[previous..cut].iter().cloned());
+            engine.ingest_all(events[previous..cut].iter().cloned());
             previous = cut;
 
-            let snapshot = sequential.live_snapshot();
-            let pending = sequential.pending_episodes();
-            let drained = sequential.drain();
+            let snapshot = engine.live_snapshot();
+            let pending = engine.pending_episodes();
+            let drained = engine.drain();
             check_cut(&model, &events, cut, &snapshot, &pending, &drained);
-
-            let snapshot = parallel.live_snapshot();
-            let pending = parallel.pending_episodes();
-            let parallel_drained = parallel.drain();
-            check_cut(&model, &events, cut, &snapshot, &pending, &parallel_drained);
-            prop_assert_eq!(drained, parallel_drained, "engines drained differently");
         }
     }
 }
@@ -247,7 +240,7 @@ fn empty_shards_are_invisible_to_live_queries() {
     let dataset = small_dataset(77, 1, 4);
     let events = dataset_events(&model, &dataset);
     assert!(events.len() > 2);
-    let mut engine = ParallelEngine::new(config(&model, 8)).unwrap();
+    let mut engine = ShardedEngine::new(config(&model, 8)).unwrap();
     // Everything but the close.
     let body: Vec<StreamEvent> = events[..events.len() - 1].to_vec();
     let cut = body.len();
@@ -319,9 +312,8 @@ fn single_hot_shard_skew_stays_consistent() {
     let config = EngineConfig::new(preds)
         .with_shards(4)
         .with_batch_capacity(8)
-        .with_channel_depth(2) // tiny depth: exercise backpressure on the hot channel
         .with_live_queries();
-    let mut engine = ParallelEngine::new(config).unwrap();
+    let mut engine = ShardedEngine::new(config).unwrap();
     let cut = events.len();
     engine.ingest_all(events.iter().cloned());
     let snapshot = engine.live_snapshot();
@@ -346,12 +338,11 @@ fn single_hot_shard_skew_stays_consistent() {
     assert_eq!(drained, pending);
 }
 
-/// The undrained pool stays out of the live cut on both runtimes. A
-/// cut taken after N undrained episodes equals the cut of an
-/// identically fed engine that drained first, so it carries none of
-/// them. A later drain (a subscriber's barrier) still hands out all N,
-/// once, in drain order, and the parallel runtime's
-/// `engine.pending_episodes` gauge shows the pool in between.
+/// The undrained pool stays out of the live cut. A cut taken after N
+/// undrained episodes equals the cut of an identically fed engine that
+/// drained first, so it carries none of them. A later drain (a
+/// subscriber's barrier) still hands out all N, once, in drain order,
+/// and the `engine.pending_episodes` gauge shows the pool in between.
 #[test]
 fn cuts_skip_the_undrained_pool_and_a_later_drain_still_delivers_it() {
     let model = build_louvre();
@@ -364,41 +355,38 @@ fn cuts_skip_the_undrained_pool_and_a_later_drain_still_delivers_it() {
         .collect();
     let feed = &events[..];
 
-    let mut drained_first = ShardedEngine::new(config(&model, 3)).unwrap();
-    drained_first.ingest_all(feed.iter().cloned());
-    let expected = drained_first.drain();
-    assert!(!expected.is_empty(), "closed visits emitted episodes");
-    let reference = drained_first.live_snapshot();
-    assert!(!reference.visits.is_empty(), "some visits are still open");
-
-    let mut sequential = ShardedEngine::new(config(&model, 3)).unwrap();
-    sequential.ingest_all(feed.iter().cloned());
-    let cut = sequential.live_snapshot();
-    assert_eq!(*cut, *reference, "the sequential cut carried the pool");
-    assert_eq!(sequential.pending_episodes(), expected);
-    assert_eq!(sequential.drain(), expected, "the drain lost the pool");
-    assert!(sequential.drain().is_empty(), "delivered exactly once");
-
     let registry = sitm_obs::MetricsRegistry::new();
     let gauge = registry.gauge("engine.pending_episodes");
     let mut drained_first =
-        ParallelEngine::new(config(&model, 3).with_metrics(registry.clone())).unwrap();
+        ShardedEngine::new(config(&model, 3).with_metrics(registry.clone())).unwrap();
     drained_first.ingest_all(feed.iter().cloned());
-    assert_eq!(drained_first.drain(), expected);
+    let expected = drained_first.drain();
+    assert!(!expected.is_empty(), "closed visits emitted episodes");
     assert_eq!(gauge.get(), 0, "a drain empties the gauged pool");
     let reference = drained_first.live_snapshot();
+    assert!(!reference.visits.is_empty(), "some visits are still open");
     drop(drained_first);
 
-    let mut parallel =
-        ParallelEngine::new(config(&model, 3).with_metrics(registry.clone())).unwrap();
-    parallel.ingest_all(feed.iter().cloned());
-    let cut = parallel.live_snapshot();
-    assert_eq!(*cut, *reference, "the parallel cut carried the pool");
+    let mut engine = ShardedEngine::new(config(&model, 3).with_metrics(registry.clone())).unwrap();
+    engine.ingest_all(feed.iter().cloned());
+    let cut = engine.live_snapshot();
+    assert_eq!(*cut, *reference, "the cut carried the pool");
     assert_eq!(gauge.get(), expected.len() as i64, "the pool is gauged");
-    assert_eq!(parallel.pending_episodes(), expected);
-    assert_eq!(parallel.drain(), expected, "the drain lost the pool");
-    assert!(parallel.drain().is_empty(), "delivered exactly once");
+    assert_eq!(engine.pending_episodes(), expected);
+    assert_eq!(engine.drain(), expected, "the drain lost the pool");
+    assert!(engine.drain().is_empty(), "delivered exactly once");
     assert_eq!(gauge.get(), 0);
+
+    // A requeue puts the pool back on the gauge, and dropping an engine
+    // withdraws its undrained share.
+    engine.requeue_pending(expected.clone());
+    assert_eq!(
+        gauge.get(),
+        expected.len() as i64,
+        "requeued episodes are gauged"
+    );
+    drop(engine);
+    assert_eq!(gauge.get(), 0, "a dropped engine withdraws its pool");
 }
 
 #[test]
@@ -408,7 +396,7 @@ fn explain_reports_the_live_index_path_and_federated_queries_page_the_union() {
     let model = build_louvre();
     let dataset = small_dataset(42, 10, 4);
     let events = dataset_events(&model, &dataset);
-    let mut engine = ParallelEngine::new(config(&model, 4)).unwrap();
+    let mut engine = ShardedEngine::new(config(&model, 4)).unwrap();
     // Ingest everything but the tail closes so several visits stay open.
     let open_cut = events
         .iter()
@@ -493,7 +481,7 @@ fn restoring_into_a_non_retaining_config_drops_prefixes_not_serves_them_stale() 
     let path = std::env::temp_dir().join(format!("sitm-live-retention-{}.log", std::process::id()));
     let _ = std::fs::remove_file(&path);
     {
-        let mut engine = ParallelEngine::new(config(&model, 2)).unwrap();
+        let mut engine = ShardedEngine::new(config(&model, 2)).unwrap();
         engine.ingest_all(events[..cut].iter().cloned());
         assert!(
             !engine.live_snapshot().visits.is_empty(),
@@ -509,7 +497,7 @@ fn restoring_into_a_non_retaining_config_drops_prefixes_not_serves_them_stale() 
     )])
     .with_shards(2)
     .with_batch_capacity(4);
-    let (mut restored, _log, report) = resume_parallel_from_log(plain, &path).unwrap();
+    let (mut restored, _log, report) = resume_from_log(plain, &path).unwrap();
     assert!(report.is_clean());
     let snapshot = restored.live_snapshot();
     assert!(
@@ -521,7 +509,7 @@ fn restoring_into_a_non_retaining_config_drops_prefixes_not_serves_them_stale() 
         "the open visits are still counted"
     );
     // The episode pipeline itself is unharmed by the reconciliation.
-    let mut reference = ParallelEngine::new(config(&model, 2)).unwrap();
+    let mut reference = ShardedEngine::new(config(&model, 2)).unwrap();
     reference.ingest_all(events.iter().cloned());
     restored.ingest_all(events[cut..].iter().cloned());
     assert_eq!(restored.finish(), reference.finish());

@@ -13,7 +13,7 @@ use sitm::core::{Duration, IntervalPredicate, SemanticTrajectory};
 use sitm::louvre::{build_louvre, generate_dataset, zone_key, GeneratorConfig};
 use sitm::query::{Predicate, Query, SegmentedDb, SortKey};
 use sitm::store::warehouse::WarehouseConfig;
-use sitm::stream::{dataset_events, EngineConfig, Flusher, ParallelEngine};
+use sitm::stream::{dataset_events, EngineConfig, Flusher, ShardedEngine};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- 1. A calibrated Louvre day as one event stream. -----------------
@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ])
     .with_shards(4)
     .with_warehouse();
-    let mut engine = ParallelEngine::new(config)?;
+    let mut engine = ShardedEngine::new(config)?;
 
     // ---- 3. Stream in chunks, spilling finished visits as we go. ---------
     let dir = std::env::temp_dir().join(format!("sitm-tiered-example-{}", std::process::id()));

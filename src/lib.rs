@@ -21,7 +21,7 @@
 //! | [`analytics`] | `sitm-analytics` | descriptive statistics, choropleths, reports |
 //! | [`query`] | `sitm-query` | indexed trajectory retrieval: predicates, plans, aggregation, federation, the segmented warehouse |
 //! | [`store`] | `sitm-store` | binary codec, CRC-framed append-only log, crash recovery, compaction, the segment tier, Bloom filters |
-//! | [`stream`] | `sitm-stream` | sequential & work-stealing online ingestion, live queries, batch-equivalent episodes, warehouse spill |
+//! | [`stream`] | `sitm-stream` | sharded online ingestion, live queries, batch-equivalent episodes, warehouse spill |
 //! | [`serve`] | `sitm-serve` | the network tier: concurrent TCP server + client for remote ingest and federated semantic queries |
 //! | [`ontology`] | `sitm-ontology` | triple store + CIDOC-CRM-flavoured museum knowledge base |
 //!
@@ -44,13 +44,13 @@
 //!             PROTOCOL.md)
 //! ```
 //!
-//! * **Live** — [`stream`]'s `ShardedEngine` / `ParallelEngine` apply
-//!   events per visit in arrival order; `live_snapshot()` cuts a
+//! * **Live** — [`stream`]'s `ShardedEngine` applies events per visit
+//!   in arrival order; `live_snapshot()` cuts a
 //!   snapshot-consistent view (open-visit prefixes + incremental
 //!   postings) queryable with [`query`]'s predicates.
 //! * **Fence** — a closed visit fences its stragglers for
-//!   `allowed_lateness` (event-time deterministic, identical across
-//!   runtimes); at close, with `EngineConfig::with_warehouse()`, the
+//!   `allowed_lateness` (event-time deterministic, identical for any
+//!   shard count); at close, with `EngineConfig::with_warehouse()`, the
 //!   completed trajectory enters the finished backlog.
 //! * **Flush** — `stream::Flusher` drains the backlog (`take_finished`,
 //!   a barrier) and spills batches into `query::SegmentedDb`, bounding
@@ -90,11 +90,11 @@
 //!
 //! | Prefix | Tier | Instruments |
 //! |---|---|---|
-//! | `engine.*` | live | `events_ingested`, `events_fenced`, `visits_routed` vs `visits_stolen` (work-stealing attribution), `queue_depth.w{i}` per-worker gauges |
+//! | `engine.*` | live | `events_ingested`, `events_fenced`, `pending_episodes` (undrained-episode gauge) |
 //! | `flush.*` | spill | `spills`, `trajectories`, `duration_ns` histogram |
 //! | `store.*` | warehouse | `segments_built`, `segments_compacted`, `segment_bytes_written`, `manifest_records`, `gc_sweeps`, `lazy_opens` (segments opened headers-only) |
 //! | `query.*` | retrieval | `segments_scanned` vs `object_pruned` vs `zone_pruned` vs `bloom_pruned`, `segment_bytes_read` / `trajectories_decoded` lazy-I/O attribution, `candidates` set-size histogram |
-//! | `serve.*` | network | `requests.{op}` / `handle_ns.{op}` per op, `bytes_in`/`bytes_out`, `errors`/`frame_errors`/`bad_requests`, `sessions_active` + `subscriptions_active` + `subscribers_active` gauges, `snapshot_build_ns`/`evaluate_ns`/`explain_snapshot_ns` read-path splits, `snapshot_cache_hits`/`snapshot_cache_misses`, `notifications_pushed`/`subscribers_dropped` |
+//! | `serve.*` | network | `requests.{op}` / `handle_ns.{op}` per op, `bytes_in`/`bytes_out`, `errors`/`frame_errors`/`bad_requests`/`sessions_panicked`, `sessions_active` + `subscriptions_active` + `subscribers_active` gauges, `snapshot_build_ns`/`evaluate_ns`/`explain_snapshot_ns` read-path splits, `snapshot_cache_hits`/`snapshot_cache_misses`, `notifications_pushed`/`subscribers_dropped` |
 //!
 //! (`flush.*` also carries the `backlog_trajectories` gauge — the
 //! spill tier's lag, served by the `Health` op. The authoritative
@@ -143,13 +143,13 @@
 //! call is inert. A background **time-series sampler** snapshots the
 //! registry each period into delta-compressed frames, from which the
 //! `Health` op derives current rates (events/s), tier lag (flush
-//! backlog, worker queue depths, checkpoint age), and session load —
+//! backlog, checkpoint age), and session load —
 //! the one-glance `sitm-top` screen rendered by
 //! `examples/query_server.rs`.
 //!
 //! **Consistency guarantees.** Queries see per-source snapshots:
 //! `SegmentedDb` answers from the newest committed manifest,
-//! `LiveSnapshot` from a quiesce cut; both narrow predicates through
+//! `LiveSnapshot` from a flushed cut; both narrow predicates through
 //! sound candidate supersets (zone maps + per-segment postings, live
 //! postings) and re-check every candidate, so indexed, pruned, and
 //! scanned paths are result-identical — differentially tested against

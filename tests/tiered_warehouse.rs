@@ -6,8 +6,7 @@
 //! every `Predicate` and every `Query` — including sorted/limited
 //! `execute_federated` over the union of live state and warehouse —
 //! identically to an in-memory [`TrajectoryDb`] holding the same
-//! trajectories, and identically across both runtimes and a
-//! crash/reopen.
+//! trajectories, and identically across a crash/reopen.
 
 use sitm::core::{
     Annotation, AnnotationSet, Duration, IntervalPredicate, PresenceInterval, SemanticTrajectory,
@@ -21,7 +20,7 @@ use sitm::query::{
 use sitm::space::CellRef;
 use sitm::store::warehouse::WarehouseConfig;
 use sitm::store::CompactionPolicy;
-use sitm::stream::{EngineConfig, Flusher, ParallelEngine, ShardedEngine, StreamEvent, VisitKey};
+use sitm::stream::{EngineConfig, Flusher, ShardedEngine, StreamEvent, VisitKey};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -250,50 +249,6 @@ fn warehouse_is_differentially_invisible_at_every_flush_point() {
     assert_eq!(reopened.len(), 30);
     let empty: Vec<SemanticTrajectory> = Vec::new();
     assert_differential(&reopened, &empty, "after reopen");
-}
-
-#[test]
-fn both_runtimes_build_identical_warehouses_live_included() {
-    let events = feed(24);
-    let tmp_seq = TempDir::new("seq");
-    let tmp_par = TempDir::new("par");
-
-    let mut seq = ShardedEngine::new(config()).unwrap();
-    seq.ingest_all(events.iter().cloned());
-    let mut seq_flusher = Flusher::new(
-        SegmentedDb::open(&tmp_seq.0, WarehouseConfig::default())
-            .unwrap()
-            .0,
-    );
-    seq_flusher.poll(&mut seq).unwrap();
-    let seq_snapshot = seq.live_snapshot();
-
-    let mut par = ParallelEngine::new(config()).unwrap();
-    par.ingest_all(events.iter().cloned());
-    let mut par_flusher = Flusher::new(
-        SegmentedDb::open(&tmp_par.0, WarehouseConfig::default())
-            .unwrap()
-            .0,
-    );
-    par_flusher.poll(&mut par).unwrap();
-    let par_snapshot = par.live_snapshot();
-
-    let seq_db = seq_flusher.into_db().unwrap();
-    let par_db = par_flusher.into_db().unwrap();
-    let seq_all: Vec<SemanticTrajectory> = seq_db.iter().cloned().collect();
-    let par_all: Vec<SemanticTrajectory> = par_db.iter().cloned().collect();
-    assert_eq!(seq_all, par_all, "identical spilled history");
-
-    for p in predicates() {
-        let q = Query::new()
-            .filter(p.clone())
-            .order_by(SortKey::Start, true);
-        assert_eq!(
-            q.execute_federated(&[&*seq_snapshot, &seq_db]),
-            q.execute_federated(&[&*par_snapshot, &par_db]),
-            "runtimes diverged under federation for {p}"
-        );
-    }
 }
 
 #[test]
